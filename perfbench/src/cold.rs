@@ -16,7 +16,9 @@ use crosslight_telemetry::RegistrySnapshot;
 use crate::config::{Config, WorkloadConfig};
 use crate::driver::RATE_WINDOWS;
 use crate::gen::{poisson_schedule, ColdSweep};
-use crate::report::{program_cpu_ns, run_rounds, EndToEnd, Phase, PhaseSample, Tally};
+use crate::report::{
+    program_cpu_ns, run_rounds, EndToEnd, MemoryBaseline, Phase, PhaseSample, Tally,
+};
 use crate::served::nproc;
 use crate::stats::median;
 
@@ -49,6 +51,9 @@ pub struct ColdOutcome {
     pub per_worker: Vec<u64>,
     /// CPU time the service's threads spent in the timed window, ns.
     pub cpu_ns: u64,
+    /// Peak resident memory during the phase above the run's baseline,
+    /// MiB (read before the reference check).
+    pub rss_mb: f64,
 }
 
 impl ColdOutcome {
@@ -75,7 +80,8 @@ pub enum ColdLoad {
 
 /// Runs one phase against a fresh service built with `options`, then
 /// checks every report against serial one-worker services outside the
-/// timed window.
+/// timed window and restarts the memory peak, so the reference services
+/// never count towards the next phase's `rss_mb`.
 #[must_use]
 pub fn run_phase(
     sweep: &mut ColdSweep,
@@ -84,19 +90,22 @@ pub fn run_phase(
     duration: Duration,
     seed: u64,
     options: RuntimeOptions,
+    memory: &MemoryBaseline,
 ) -> ColdOutcome {
     let service = EvalService::new(options);
     let replay = sweep.clone();
     let cpu_before = program_cpu_ns();
-    let (mut out, reports) = match load {
+    let (mut out, digests) = match load {
         ColdLoad::Closed => closed(&service, sweep, batch, duration),
         ColdLoad::Open { rate, tag } => open(&service, sweep, batch, duration, rate, tag, seed),
     };
     out.cpu_ns = program_cpu_ns() - cpu_before;
+    out.rss_mb = memory.peak_mb();
     out.telemetry = service.telemetry_snapshot();
     out.per_worker = service.stats().per_worker;
     service.shutdown();
-    verify(replay, &reports, &mut out);
+    verify(replay, &digests, &mut out);
+    MemoryBaseline::restart_peak();
     out
 }
 
@@ -105,9 +114,9 @@ fn closed(
     sweep: &mut ColdSweep,
     batch: usize,
     duration: Duration,
-) -> (ColdOutcome, Vec<Option<SimulationReport>>) {
+) -> (ColdOutcome, Vec<Option<u64>>) {
     let mut out = ColdOutcome::default();
-    let mut reports = Vec::new();
+    let mut digests = Vec::new();
     let window = duration / RATE_WINDOWS as u32;
     let mut window_done = [0u64; RATE_WINDOWS];
     let start = Instant::now();
@@ -125,11 +134,11 @@ fn closed(
                 if slot < RATE_WINDOWS {
                     window_done[slot] += batch as u64;
                 }
-                reports.extend(responses.into_iter().map(|r| Some(r.report)));
+                digests.extend(responses.iter().map(|r| Some(report_digest(&r.report))));
             }
             Err(_) => {
                 out.errors += batch as u64;
-                reports.extend(std::iter::repeat_n(None, batch));
+                digests.extend(std::iter::repeat_n(None, batch));
             }
         }
     }
@@ -137,7 +146,7 @@ fn closed(
         .iter()
         .map(|&n| n as f64 / window.as_secs_f64())
         .collect();
-    (out, reports)
+    (out, digests)
 }
 
 type Reply = (
@@ -153,7 +162,7 @@ fn open(
     rate: f64,
     stream_tag: u64,
     seed: u64,
-) -> (ColdOutcome, Vec<Option<SimulationReport>>) {
+) -> (ColdOutcome, Vec<Option<u64>>) {
     let mut out = ColdOutcome::default();
     let schedule = poisson_schedule(
         seed,
@@ -162,7 +171,7 @@ fn open(
         duration.as_nanos() as u64,
     );
     let first_id = sweep.drawn();
-    let mut reports: Vec<Option<SimulationReport>> = vec![None; schedule.len() * batch];
+    let mut digests: Vec<Option<u64>> = vec![None; schedule.len() * batch];
     let mut remaining = vec![batch; schedule.len()];
     let mut in_flight = 0u64;
     let (tx, rx) = mpsc::channel::<Reply>();
@@ -176,7 +185,7 @@ fn open(
         |(tag, outcome): Reply, at: u64, in_flight: &mut u64, out: &mut ColdOutcome| {
             let index = (tag - first_id) as usize;
             match outcome {
-                Ok(response) => reports[index] = Some(response.report),
+                Ok(response) => digests[index] = Some(report_digest(&response.report)),
                 Err(_) => out.errors += 1,
             }
             let b = index / batch;
@@ -235,7 +244,7 @@ fn open(
         out.backlog[quarter] = in_flight;
         quarter += 1;
     }
-    (out, reports)
+    (out, digests)
 }
 
 /// Every field of a report as raw bits.  The exhaustive patterns stop
@@ -300,11 +309,29 @@ pub fn report_bits(report: &SimulationReport) -> [u64; 17] {
     .expect("seventeen fields")
 }
 
+/// The seventeen words of [`report_bits`] folded into 64 bits, so a
+/// phase keeps a digest per answer instead of the 136-byte report.  Each word passes
+/// through a bijective mix, so two reports that differ in any one word
+/// always get different digests; reports that differ in several collide
+/// with probability about 2^-64.
+#[must_use]
+pub fn report_digest(report: &SimulationReport) -> u64 {
+    report_bits(report).iter().fold(0, |h, &word| {
+        // The splitmix64 finalizer: xor-shifts and odd multipliers, each
+        // invertible.
+        let mut x = h ^ word;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    })
+}
+
 /// Re-draws the phase's points and evaluates them on one-worker services
 /// (serial each; two halves side by side, a fresh pair per chunk so the
-/// reference caches stay small), counting every report whose bits differ.
-fn verify(mut replay: ColdSweep, reports: &[Option<SimulationReport>], out: &mut ColdOutcome) {
-    for chunk in reports.chunks(8192) {
+/// reference caches stay small), counting every answer whose report
+/// digest differs from the reference's.
+fn verify(mut replay: ColdSweep, digests: &[Option<u64>], out: &mut ColdOutcome) {
+    for chunk in digests.chunks(8192) {
         let requests = replay.next_batch(chunk.len());
         let (left, right) = requests.split_at(requests.len() / 2);
         let expected: Vec<SimulationReport> = std::thread::scope(|scope| {
@@ -326,7 +353,7 @@ fn verify(mut replay: ColdSweep, reports: &[Option<SimulationReport>], out: &mut
             all
         });
         for (got, want) in chunk.iter().zip(&expected) {
-            if got.is_some_and(|got| report_bits(&got) != report_bits(want)) {
+            if got.is_some_and(|got| got != report_digest(want)) {
                 out.mismatched += 1;
             }
         }
@@ -347,9 +374,12 @@ pub fn run(config: &Config, workload: &WorkloadConfig, seed: u64, seconds: f64) 
         sweep = Some(fresh);
     }
     let mut sweep = sweep.expect("at least one set-up ran");
+    let memory = MemoryBaseline::take();
+    MemoryBaseline::restart_peak();
+    let mut rss_mb = 0.0_f64;
     let mut tally = Tally::default();
     let batch = config.batch_points;
-    let result = run_rounds(workload, seconds, |phase, secs| {
+    let result = run_rounds(workload, config.shares, seconds, |phase, secs| {
         let load = match phase {
             Phase::Closed => ColdLoad::Closed,
             Phase::Open { rate, tag } => ColdLoad::Open { rate, tag },
@@ -361,7 +391,9 @@ pub fn run(config: &Config, workload: &WorkloadConfig, seed: u64, seconds: f64) 
             Duration::from_secs_f64(secs),
             seed,
             runtime_options(),
+            &memory,
         );
+        rss_mb = rss_mb.max(outcome.rss_mb);
         tally.add(outcome.sent, outcome.failed(), outcome.mismatched);
         Ok::<_, std::convert::Infallible>(PhaseSample {
             cpu_ns: outcome.cpu_ns,
@@ -375,6 +407,7 @@ pub fn run(config: &Config, workload: &WorkloadConfig, seed: u64, seconds: f64) 
     });
     let Ok(mut e2e) = result;
     e2e.tally = tally;
+    e2e.rss_mb = rss_mb;
     e2e.setup_s = median(&setup_samples);
     e2e.setup_samples = setup_samples;
     e2e

@@ -26,9 +26,9 @@ pub struct PhaseShares {
 pub struct WorkloadConfig {
     /// Workload name.
     pub name: String,
-    /// Requests (served) or 64-point batches (cold) in flight per
-    /// connection in the closed loop.
-    pub pipeline_depth: usize,
+    /// Requests in flight per connection in the closed loop (served
+    /// workloads; the cold sweep keeps one `submit_batch` in flight).
+    pub pipeline_depth: Option<usize>,
     /// Fixed open-loop `low` rate, requests (or evaluations) per second.
     pub low_rps: f64,
     /// Fixed open-loop `high` rate.
@@ -37,12 +37,23 @@ pub struct WorkloadConfig {
     pub ladder_rps: Vec<f64>,
     /// The p99 latency limit a ladder rung must meet, microseconds.
     pub p99_limit_us: f64,
-    /// Phase shares of `--seconds`.
-    pub shares: PhaseShares,
     /// Rounds the phases are repeated in, each for its share of
     /// `--seconds / rounds`; the cold sweep gives every phase of every
     /// round a fresh service, which also bounds its cache's memory.
     pub rounds: usize,
+}
+
+impl WorkloadConfig {
+    /// The closed-loop pipeline depth of a served workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.json` gives this workload none.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.pipeline_depth
+            .unwrap_or_else(|| panic!("config.json: `{}` has no `pipeline_depth`", self.name))
+    }
 }
 
 /// The whole configuration.
@@ -60,6 +71,8 @@ pub struct Config {
     pub drain_timeout_s: f64,
     /// Evaluations per cold-sweep batch.
     pub batch_points: usize,
+    /// Shares of `--seconds` given to each phase kind, in every workload.
+    pub shares: PhaseShares,
     /// Every workload, in run order.
     pub workloads: Vec<WorkloadConfig>,
 }
@@ -85,35 +98,32 @@ impl Config {
             .and_then(Json::as_array)
             .expect("config.json: `workloads` is an array")
             .iter()
-            .map(|w| {
-                let shares = w.get("phase_shares").expect("config.json: `phase_shares`");
-                WorkloadConfig {
-                    name: w
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .expect("config.json: workload `name`")
-                        .to_string(),
-                    pipeline_depth: num(w, "pipeline_depth") as usize,
-                    low_rps: num(w, "low_rps"),
-                    high_rps: num(w, "high_rps"),
-                    ladder_rps: w
-                        .get("ladder_rps")
-                        .and_then(Json::as_array)
-                        .expect("config.json: `ladder_rps` is an array")
-                        .iter()
-                        .map(|r| r.as_f64().expect("config.json: ladder rates are numbers"))
-                        .collect(),
-                    p99_limit_us: num(w, "p99_limit_us"),
-                    rounds: num(w, "rounds") as usize,
-                    shares: PhaseShares {
-                        closed: num(shares, "closed"),
-                        low: num(shares, "low"),
-                        high: num(shares, "high"),
-                        ladder: num(shares, "ladder"),
-                    },
-                }
+            .map(|w| WorkloadConfig {
+                name: w
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .expect("config.json: workload `name`")
+                    .to_string(),
+                pipeline_depth: w
+                    .get("pipeline_depth")
+                    .and_then(Json::as_f64)
+                    .map(|depth| depth as usize),
+                low_rps: num(w, "low_rps"),
+                high_rps: num(w, "high_rps"),
+                ladder_rps: w
+                    .get("ladder_rps")
+                    .and_then(Json::as_array)
+                    .expect("config.json: `ladder_rps` is an array")
+                    .iter()
+                    .map(|r| r.as_f64().expect("config.json: ladder rates are numbers"))
+                    .collect(),
+                p99_limit_us: num(w, "p99_limit_us"),
+                rounds: num(w, "rounds") as usize,
             })
             .collect();
+        let shares = root
+            .get("phase_shares")
+            .expect("config.json: `phase_shares`");
         Self {
             default_seed: num(&root, "default_seed") as u64,
             connections: num(&root, "connections") as usize,
@@ -121,6 +131,12 @@ impl Config {
             warmup_s: num(&root, "warmup_s"),
             drain_timeout_s: num(&root, "drain_timeout_s"),
             batch_points: num(&root, "batch_points") as usize,
+            shares: PhaseShares {
+                closed: num(shares, "closed"),
+                low: num(shares, "low"),
+                high: num(shares, "high"),
+                ladder: num(shares, "ladder"),
+            },
             workloads,
         }
     }

@@ -254,6 +254,15 @@ impl Ledger {
         (sum - self.e2e_ns).abs() <= 1e-3 * self.e2e_ns.max(1.0)
     }
 
+    /// Whether every row is at least -0.1 % of the end-to-end time.  A
+    /// program histogram that claims more time than the client observed
+    /// around the call drives `unattributed` below zero.
+    #[must_use]
+    pub fn rows_nonnegative(&self) -> bool {
+        let floor = -1e-3 * self.e2e_ns.max(1.0);
+        self.rows.iter().all(|(_, ns)| *ns >= floor)
+    }
+
     /// Share of the end-to-end time nothing explains.
     #[must_use]
     pub fn unattributed_share(&self) -> f64 {
@@ -282,6 +291,40 @@ impl Ledger {
             self.reconciles()
         );
         out
+    }
+}
+
+/// How a fixed delay added inside one layer's spans moved the ledger.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SelfTest {
+    /// The delayed layer's row change as a share of the delay.
+    pub share: f64,
+    /// The largest change of any other row, as a share of the delay.
+    pub max_other_share: f64,
+}
+
+impl SelfTest {
+    /// Compares the ledger of a run with `delay_ns` added inside `layer`'s
+    /// spans against one without.
+    #[must_use]
+    pub fn compare(base: &Ledger, delayed: &Ledger, layer: &str, delay_ns: f64) -> Self {
+        let shift = |row: &str| (delayed.row(row) - base.row(row)) / delay_ns;
+        Self {
+            share: shift(layer),
+            max_other_share: LAYERS
+                .iter()
+                .filter(|&&row| row != layer)
+                .map(|row| shift(row).abs())
+                .fold(0.0, f64::max),
+        }
+    }
+
+    /// Whether the delay landed on its layer (0.9 to 1.1 of it) and moved
+    /// no other row by 0.15 of it.  A misplaced delay moves some row by
+    /// all of it; the slack absorbs host stalls during the replay.
+    #[must_use]
+    pub fn passes(&self) -> bool {
+        (0.9..=1.1).contains(&self.share) && self.max_other_share < 0.15
     }
 }
 

@@ -143,7 +143,7 @@ fn traced(config: &Config, workload: &WorkloadConfig, args: &Args) -> ExitCode {
     if traced.correct {
         ExitCode::SUCCESS
     } else {
-        eprintln!("error: a replayed answer differed or a ledger did not reconcile");
+        eprintln!("error: a replayed answer differed or a ledger check failed");
         ExitCode::FAILURE
     }
 }

@@ -3,8 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::config::WorkloadConfig;
-use crate::stats::{median, quantile, Latency};
+use crate::config::{PhaseShares, WorkloadConfig};
+use crate::stats::{median, Latency, WindowedLatency};
 
 /// One rung of the sustained-rate ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +68,8 @@ pub struct EndToEnd {
     pub setup_s: f64,
     /// Every set-up time measured, seconds.
     pub setup_samples: Vec<f64>,
-    /// Peak resident memory, MiB.
+    /// Peak resident memory over the run above the resident memory
+    /// before the program was set up, MiB (see [`MemoryBaseline`]).
     pub rss_mb: f64,
     /// p99 of how late the open-loop generator sent, microseconds.
     pub lag_p99_us: f64,
@@ -77,16 +78,40 @@ pub struct EndToEnd {
 }
 
 impl EndToEnd {
-    /// The highest passing rung of `ladder` (0 when none passed).  Not
-    /// the first failure: on a virtual machine an idle server's wake-ups
-    /// can give a low rung a worse p99 than a busier one.
+    /// The sustained rate of `ladder` (0 when no rung passed).  It starts
+    /// from the highest passing rung below the first two failing rungs in
+    /// a row: one rung that a host stall made fail does not end the climb,
+    /// and one that passed by luck above the knee does not count.  When
+    /// the rung above failed on p99 alone, the rate moves towards it to
+    /// where p99 reaches `p99_limit_us`, interpolating log p99 linearly in
+    /// the rate, so a change smaller than one rung still shows.
     #[must_use]
-    pub fn sustained(ladder: &[Rung]) -> f64 {
-        ladder
-            .iter()
-            .filter(|rung| rung.pass)
-            .map(|rung| rung.rate)
-            .fold(0.0, f64::max)
+    pub fn sustained(ladder: &[Rung], p99_limit_us: f64) -> f64 {
+        let mut best = None;
+        for (i, rung) in ladder.iter().enumerate() {
+            if rung.pass {
+                best = Some(i);
+            } else if ladder.get(i + 1).is_none_or(|next| !next.pass) {
+                break;
+            }
+        }
+        let Some(best) = best else {
+            return 0.0;
+        };
+        let low = &ladder[best];
+        match ladder.get(best + 1) {
+            Some(high)
+                if !high.backlog_growing
+                    && high.failed == 0
+                    && high.latency.p99_us > p99_limit_us
+                    && low.latency.p99_us > 0.0 =>
+            {
+                let t = (p99_limit_us / low.latency.p99_us).ln()
+                    / (high.latency.p99_us / low.latency.p99_us).ln();
+                low.rate + t.clamp(0.0, 1.0) * (high.rate - low.rate)
+            }
+            _ => low.rate,
+        }
     }
 
     /// The metrics named in `BENCHMARK.json`'s `end_to_end` list, with
@@ -191,7 +216,7 @@ pub enum Phase {
 
 #[derive(Debug, Default)]
 struct Pooled {
-    latency_ns: Vec<Vec<u64>>,
+    latency: WindowedLatency,
     window_rps: Vec<f64>,
     growing_rounds: usize,
     failed: u64,
@@ -200,10 +225,12 @@ struct Pooled {
 }
 
 impl Pooled {
-    fn add(&mut self, sample: PhaseSample, lag: &mut Vec<u64>) {
-        self.latency_ns.extend(sample.latency_ns);
+    fn add(&mut self, sample: PhaseSample, lag: &mut WindowedLatency) {
+        for window in &sample.latency_ns {
+            self.latency.push(window);
+        }
         self.window_rps.extend(sample.window_rps);
-        lag.extend(sample.lag_ns);
+        lag.push(&sample.lag_ns);
         let [_, half, three_quarters, end] = sample.backlog;
         if end > 8 && end > 2 * half.max(1) && end >= three_quarters {
             self.growing_rounds += 1;
@@ -218,20 +245,20 @@ impl Pooled {
 /// loop at `high` and every ladder rung, each for its share of
 /// `seconds / rounds`, and pools every phase kind across rounds: a host
 /// slowdown during part of the run then moves a minority of the windows
-/// behind each median.  Set-up fields and the tally are left for the
-/// caller.
+/// behind each median.  Set-up fields, `rss_mb` and the tally are left
+/// for the caller.
 ///
 /// # Errors
 ///
 /// Propagates the first error of `run`.
 pub fn run_rounds<E>(
     workload: &WorkloadConfig,
+    shares: PhaseShares,
     seconds: f64,
     mut run: impl FnMut(Phase, f64) -> Result<PhaseSample, E>,
 ) -> Result<EndToEnd, E> {
     let rounds = workload.rounds.max(1);
     let round_s = seconds / rounds as f64;
-    let shares = workload.shares;
     let rung_s = round_s * shares.ladder / workload.ladder_rps.len().max(1) as f64;
     let (mut closed, mut low, mut high) = (Pooled::default(), Pooled::default(), Pooled::default());
     let mut rungs: Vec<Pooled> = workload
@@ -239,11 +266,11 @@ pub fn run_rounds<E>(
         .iter()
         .map(|_| Pooled::default())
         .collect();
-    let mut lag = Vec::new();
+    let mut lag = WindowedLatency::default();
     for round in 0..rounds as u64 {
         closed.add(
             run(Phase::Closed, round_s * shares.closed)?,
-            &mut Vec::new(),
+            &mut WindowedLatency::default(),
         );
         let tag = |phase: u64| phase * 1000 + round;
         let open = |rate: f64, phase: u64| Phase::Open {
@@ -265,9 +292,9 @@ pub fn run_rounds<E>(
     let ladder: Vec<Rung> = workload
         .ladder_rps
         .iter()
-        .zip(&mut rungs)
+        .zip(rungs)
         .map(|(&rate, rung)| {
-            let latency = Latency::windowed(&mut rung.latency_ns);
+            let latency = rung.latency.finish();
             let backlog_growing = 2 * rung.growing_rounds > rounds;
             Rung {
                 rate,
@@ -283,13 +310,12 @@ pub fn run_rounds<E>(
     Ok(EndToEnd {
         throughput_rps: median(&closed.window_rps),
         cpu_us_per_req: closed.cpu_ns as f64 / 1e3 / closed.completed.max(1) as f64,
-        closed: Latency::windowed(&mut closed.latency_ns),
-        low: Latency::windowed(&mut low.latency_ns),
-        high: Latency::windowed(&mut high.latency_ns),
-        sustained_rps: EndToEnd::sustained(&ladder),
+        closed: closed.latency.finish(),
+        low: low.latency.finish(),
+        high: high.latency.finish(),
+        sustained_rps: EndToEnd::sustained(&ladder, workload.p99_limit_us),
         ladder,
-        lag_p99_us: quantile(&mut lag, 0.99) as f64 / 1e3,
-        rss_mb: peak_rss_mb(),
+        lag_p99_us: lag.finish().p99_us,
         ..EndToEnd::default()
     })
 }
@@ -335,16 +361,14 @@ pub fn program_cpu_ns() -> u64 {
     process.saturating_sub(own) * 10_000_000
 }
 
-/// Peak resident set size of this process, MiB (`VmHWM`); 0 where
-/// `/proc` is unavailable.
-#[must_use]
-pub fn peak_rss_mb() -> f64 {
+/// A `/proc/self/status` field in MiB; 0 where `/proc` is unavailable.
+fn status_mb(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|status| {
             status
                 .lines()
-                .find_map(|line| line.strip_prefix("VmHWM:"))
+                .find_map(|line| line.strip_prefix(field))
                 .and_then(|rest| {
                     rest.trim()
                         .trim_end_matches("kB")
@@ -354,4 +378,58 @@ pub fn peak_rss_mb() -> f64 {
                 })
         })
         .map_or(0.0, |kib| kib / 1024.0)
+}
+
+/// Hands memory the allocator holds free back to the system, so resident
+/// memory counts live allocations only.
+fn trim_allocator() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's malloc_trim takes no pointers and may be called
+        // at any time from any thread.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// Resident memory the program adds, measured without the benchmark's own
+/// set-up residue: [`MemoryBaseline::take`] records resident memory before
+/// the program is built, [`MemoryBaseline::restart_peak`] drops what the
+/// benchmark freed (earlier set-ups, reference checks) and restarts the
+/// kernel's peak (`VmHWM`) from the current resident size, and
+/// [`MemoryBaseline::peak_mb`] is the peak since then above the baseline.
+/// What the benchmark itself holds while measuring (one phase's latency
+/// samples, the cold sweep's report digests) stays in the figure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemoryBaseline {
+    rss_mb: f64,
+}
+
+impl MemoryBaseline {
+    /// Resident memory now, after trimming the allocator.
+    #[must_use]
+    pub fn take() -> Self {
+        trim_allocator();
+        Self {
+            rss_mb: status_mb("VmRSS:"),
+        }
+    }
+
+    /// Trims the allocator and restarts the peak from the current
+    /// resident size (a no-op where `/proc/self/clear_refs` is absent).
+    pub fn restart_peak() {
+        trim_allocator();
+        let _ = std::fs::write("/proc/self/clear_refs", "5");
+    }
+
+    /// Peak resident memory since the last restart above the baseline,
+    /// MiB.
+    #[must_use]
+    pub fn peak_mb(&self) -> f64 {
+        status_mb("VmHWM:") - self.rss_mb
+    }
 }

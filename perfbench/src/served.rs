@@ -17,7 +17,9 @@ use crosslight_telemetry::RegistrySnapshot;
 use crate::config::{Config, WorkloadConfig};
 use crate::driver::{run_phase, Conn, Frames, Load, PhaseOutcome};
 use crate::gen::{poisson_schedule, MixStream};
-use crate::report::{program_cpu_ns, run_rounds, EndToEnd, Phase, PhaseSample, Tally};
+use crate::report::{
+    program_cpu_ns, run_rounds, EndToEnd, MemoryBaseline, Phase, PhaseSample, Tally,
+};
 use crate::stats::median;
 
 /// Cores of this host: the server worker count and the driver's
@@ -81,14 +83,15 @@ pub struct Stack {
     pub router: Option<Router>,
 }
 
-/// Sends every scenario once to `addr`, so the result cache behind it
-/// holds the whole mix; every answer must be an eval report.
+/// Sends every scenario once to `addr`, pipelined on one connection, so
+/// the result cache behind it holds the whole mix; every answer must be an
+/// eval report.
 fn warm(addr: SocketAddr, frames: &Frames) -> io::Result<()> {
     let mut client = Client::connect(addr)?;
     for scenario in 0..frames.len() {
-        let line = frames.request_line(scenario, scenario as u64);
-        client.send_raw(&line)?;
-        client.flush()?;
+        client.send_raw(&frames.request_line(scenario, scenario as u64))?;
+    }
+    for _ in 0..frames.len() {
         let response = client.recv()?;
         let ResponseBody::Eval(_) = response.body else {
             return Err(io::Error::other(format!("warm-up answer {response:?}")));
@@ -148,7 +151,9 @@ impl Stack {
     }
 }
 
-/// Binds `repeats` stacks, timing each; keeps the last.
+/// Binds `repeats` stacks, timing each; keeps the last.  Each stack is
+/// shut down before the next is timed, so no earlier stack's threads run
+/// during a timed set-up.
 ///
 /// # Errors
 ///
@@ -160,14 +165,15 @@ pub fn timed_setups(
     options: ServerOptions,
 ) -> io::Result<(Stack, Vec<f64>)> {
     let mut samples = Vec::with_capacity(repeats);
-    let mut kept = None;
+    let mut kept: Option<Stack> = None;
     for _ in 0..repeats.max(1) {
+        if let Some(previous) = kept.take() {
+            previous.shutdown();
+        }
         let start = Instant::now();
         let stack = Stack::bind(routed, frames, options)?;
         samples.push(start.elapsed().as_secs_f64());
-        if let Some(previous) = kept.replace(stack) {
-            Stack::shutdown(previous);
-        }
+        kept = Some(stack);
     }
     Ok((kept.expect("at least one set-up ran"), samples))
 }
@@ -239,6 +245,18 @@ impl<'a> Session<'a> {
         )?;
         self.tally
             .add(outcome.sent, outcome.failed(), outcome.mismatched);
+        if outcome.failed() > 0 {
+            eprintln!(
+                "warning: {} of {} requests failed in a phase ({} shed, {} error frames, \
+                 {} mismatched, {} timed out)",
+                outcome.failed(),
+                outcome.sent,
+                outcome.shed,
+                outcome.errors,
+                outcome.mismatched,
+                outcome.timed_out
+            );
+        }
         Ok(outcome)
     }
 
@@ -266,10 +284,14 @@ impl<'a> Session<'a> {
     pub fn open(&mut self, tag: u64, rate: f64, seconds: f64) -> io::Result<PhaseOutcome> {
         let duration = Duration::from_secs_f64(seconds);
         let schedule = poisson_schedule(self.seed, tag, rate, duration.as_nanos() as u64);
-        // The connections together never hold more requests in flight than
-        // the server admits, so a burst after a host stall queues at the
-        // client (and is timed) instead of being shed.
-        let window = (ServerOptions::default().queue_capacity / self.conns.len().max(1)).max(1);
+        // The connections together hold at most three quarters of the
+        // requests the server admits, so a burst after a host stall, or a
+        // rung above the knee, queues at the client (and is timed) instead
+        // of being shed.  The margin covers the server returning a
+        // request's admission permit only after its answer is queued, so
+        // the answer can reach the client before the permit is free.
+        let window =
+            (ServerOptions::default().queue_capacity * 3 / 4 / self.conns.len().max(1)).max(1);
         self.phase(
             &Load::Open {
                 schedule,
@@ -295,13 +317,15 @@ pub fn run(
     seconds: f64,
 ) -> io::Result<EndToEnd> {
     let frames = paper_frames();
+    let memory = MemoryBaseline::take();
     let (stack, setup_samples) =
         timed_setups(config.setup_repeats, routed, &frames, server_options())?;
-    let depth = workload.pipeline_depth;
+    MemoryBaseline::restart_peak();
+    let depth = workload.depth();
     let measured =
         Session::new(config, &frames, stack.addr(), seed, 1 << 20).and_then(|mut session| {
             session.closed(depth, config.warmup_s)?;
-            let mut e2e = run_rounds(workload, seconds, |phase, secs| {
+            let mut e2e = run_rounds(workload, config.shares, seconds, |phase, secs| {
                 let cpu_before = program_cpu_ns();
                 let outcome = match phase {
                     Phase::Closed => session.closed(depth, secs)?,
@@ -318,6 +342,7 @@ pub fn run(
                 })
             })?;
             e2e.tally = session.tally;
+            e2e.rss_mb = memory.peak_mb();
             Ok(e2e)
         });
     stack.shutdown();

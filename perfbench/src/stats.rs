@@ -66,28 +66,56 @@ impl Latency {
     /// too small for a p99 with ten samples beyond it is pooled with its
     /// successors; `samples` counts every sample.
     pub fn windowed(windows: &mut [Vec<u64>]) -> Self {
-        let mut p50 = Vec::new();
-        let mut p99 = Vec::new();
-        let mut pooled: Vec<u64> = Vec::new();
-        let total: usize = windows.iter().map(Vec::len).sum();
-        let mut remaining = total;
-        for window in windows.iter_mut() {
-            remaining -= window.len();
-            pooled.append(window);
-            let last = remaining == 0;
-            if (pooled.len() >= MIN_WINDOW_SAMPLES && (last || remaining >= MIN_WINDOW_SAMPLES))
-                || (last && !pooled.is_empty())
-            {
-                let latency = Self::of(&mut pooled);
-                p50.push(latency.p50_us);
-                p99.push(latency.p99_us);
-                pooled.clear();
-            }
+        let mut pooled = WindowedLatency::default();
+        for window in windows.iter() {
+            pooled.push(window);
         }
-        Self {
-            p50_us: median(&p50),
-            p99_us: median(&p99),
-            samples: total,
+        pooled.finish()
+    }
+}
+
+/// [`Latency::windowed`] as windows arrive: each pooled window is reduced
+/// to its p50 and p99 once its successor has filled, so at most two
+/// windows of samples are held however long the run.
+#[derive(Debug, Clone, Default)]
+pub struct WindowedLatency {
+    p50: Vec<f64>,
+    p99: Vec<f64>,
+    held: Vec<u64>,
+    filling: Vec<u64>,
+    samples: usize,
+}
+
+impl WindowedLatency {
+    /// Adds one window of nanosecond samples.
+    pub fn push(&mut self, window: &[u64]) {
+        self.samples += window.len();
+        self.filling.extend_from_slice(window);
+        if self.filling.len() >= MIN_WINDOW_SAMPLES {
+            self.reduce_held();
+            std::mem::swap(&mut self.held, &mut self.filling);
+        }
+    }
+
+    fn reduce_held(&mut self) {
+        if !self.held.is_empty() {
+            let latency = Latency::of(&mut self.held);
+            self.p50.push(latency.p50_us);
+            self.p99.push(latency.p99_us);
+            self.held.clear();
+        }
+    }
+
+    /// The summary; a last window too small to stand alone joins the one
+    /// before it.
+    #[must_use]
+    pub fn finish(mut self) -> Latency {
+        self.held.append(&mut self.filling);
+        self.reduce_held();
+        Latency {
+            p50_us: median(&self.p50),
+            p99_us: median(&self.p99),
+            samples: self.samples,
         }
     }
 }

@@ -21,8 +21,8 @@ use crate::cold;
 use crate::config::{Config, WorkloadConfig};
 use crate::driver::{Frames, Load};
 use crate::gen::{ColdSweep, MixStream};
-use crate::ledger::{spin, Attribution, Ledger, Tracer};
-use crate::report::Tally;
+use crate::ledger::{spin, Attribution, Ledger, SelfTest, Tracer};
+use crate::report::{MemoryBaseline, Tally};
 use crate::served::{self, paper_workloads, server_options, Session, Stack};
 use crate::stats::{median, quantile, Latency};
 
@@ -77,7 +77,29 @@ const REPLAY: usize = 2000;
 /// Requests of the self-test replay.
 const SELFTEST: usize = 400;
 /// The self-test's fixed delay inside one benchmark-side span.
-const SELFTEST_DELAY_NS: u64 = 200_000;
+const SELFTEST_DELAY_NS: u64 = 1_000_000;
+
+/// Where a replay spins the self-test's fixed delay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delay {
+    /// No delay.
+    Off,
+    /// Before each request's root span: the self-test's control, which
+    /// leaves the program idle exactly as long as `Inside` does.
+    Outside,
+    /// Inside one benchmark-side span of each request.
+    Inside,
+}
+
+impl Delay {
+    /// Spins the fixed delay if this replay puts it `at` the caller.
+    fn spin_at(self, at: Self) {
+        if self == at {
+            spin(SELFTEST_DELAY_NS);
+        }
+    }
+}
+
 /// Frames kept from the load phases for replay.
 const CAPTURE: usize = 4096;
 
@@ -236,15 +258,16 @@ fn worker_imbalance(before: &[u64], after: &[u64]) -> f64 {
 }
 
 /// Replays the `(scenario, id)` requests one at a time over a blocking
-/// connection, optionally under spans (with `delay_ns` spun inside the
-/// response-decode span), and checks every answer.  Returns the mean end-to-end time
-/// per request, ns, and the number of mismatched answers.
+/// connection, optionally under spans (with the self-test's `delay`
+/// inside the response-decode span or before the root span), and checks
+/// every answer.  Returns the mean end-to-end time per request, ns, and
+/// the number of mismatched answers.
 fn replay_wire(
     addr: SocketAddr,
     frames: &Frames,
     picks: &[(usize, u64)],
     mut tracer: Option<&mut Tracer>,
-    delay_ns: u64,
+    delay: Delay,
 ) -> io::Result<(f64, u64)> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -267,6 +290,7 @@ fn replay_wire(
         };
         match tracer.as_deref_mut() {
             Some(t) => {
+                delay.spin_at(Delay::Outside);
                 let root = t.open("e2e", "driver", id, None);
                 let mut encoded = t.time("encode_request", "wire", id, Some(root), || {
                     wire::encode_request(&request)
@@ -275,7 +299,7 @@ fn replay_wire(
                 std::hint::black_box(&encoded);
                 t.time("exchange", "unattributed", id, Some(root), &mut exchange)?;
                 let decoded = t.time("decode_response", "wire", id, Some(root), || {
-                    spin(delay_ns);
+                    delay.spin_at(Delay::Inside);
                     wire::decode_response(line.trim_end())
                 });
                 t.close(root);
@@ -445,7 +469,7 @@ pub fn served(
     let frames = served::paper_frames();
     let stack = Stack::bind(routed, &frames, server_options())?;
     let mut session = Session::new(config, &frames, stack.addr(), seed, 1 << 20)?;
-    session.closed(workload.pipeline_depth, config.warmup_s)?;
+    session.closed(workload.depth(), config.warmup_s)?;
 
     // Load phases: the program's counters and histograms under load.
     let scrape = |stack: &Stack| {
@@ -465,7 +489,7 @@ pub fn served(
     let (m0, r0, w0) = scrape(&stack);
     let mut captured: Vec<(usize, u64, String)> = Vec::with_capacity(CAPTURE);
     let closed_load = Load::Closed {
-        depth: workload.pipeline_depth,
+        depth: workload.depth(),
         duration: Duration::from_secs_f64(seconds * 0.2),
     };
     session.phase(&closed_load, |id, scenario, line| {
@@ -560,7 +584,7 @@ pub fn served(
         // both alike.
         for traced in [i % 2 == 0, i % 2 == 1] {
             let tracer = traced.then_some(&mut tracer);
-            let (ns, bad) = replay_wire(stack.addr(), &frames, block, tracer, 0)?;
+            let (ns, bad) = replay_wire(stack.addr(), &frames, block, tracer, Delay::Off)?;
             if traced {
                 &mut traced_ns
             } else {
@@ -639,7 +663,7 @@ pub fn served(
             &frames,
             &picks[..REPLAY / 2],
             None,
-            0,
+            Delay::Off,
         )?;
         mismatched += bad;
         out.metrics
@@ -652,13 +676,18 @@ pub fn served(
         .insert("ledger.tracing_overhead_ns", median(&overheads));
     out.put_ledger(&ledger);
 
-    // Self-test: a fixed delay inside one benchmark-side wire span must
-    // land on the wire row alone.
+    // Self-test: a fixed delay inside one benchmark-side wire span, against
+    // the same delay outside every span, must land on the wire row alone.
+    // The two replays alternate in blocks, so a host slowdown hits both.
     let mut delayed = Tracer::new();
     let mut baseline = Tracer::new();
-    let sample = &picks[..SELFTEST];
-    for (tracer, delay) in [(&mut baseline, 0), (&mut delayed, SELFTEST_DELAY_NS)] {
-        mismatched += replay_wire(stack.addr(), &frames, sample, Some(tracer), delay)?.1;
+    for block in picks[..SELFTEST].chunks(SELFTEST / 8) {
+        for (tracer, delay) in [
+            (&mut baseline, Delay::Outside),
+            (&mut delayed, Delay::Inside),
+        ] {
+            mismatched += replay_wire(stack.addr(), &frames, block, Some(tracer), delay)?.1;
+        }
     }
     let scale = |a: &Attribution| Attribution {
         total_ns: a.total_ns * SELFTEST as f64 / REPLAY as f64,
@@ -667,15 +696,15 @@ pub fn served(
     let scaled: Vec<Attribution> = attributions.iter().map(scale).collect();
     let base = Ledger::build(&baseline, "e2e", SELFTEST as u64, &scaled);
     let with_delay = Ledger::build(&delayed, "e2e", SELFTEST as u64, &scaled);
-    let selftest = selftest_share(&base, &with_delay);
+    let selftest = SelfTest::compare(&base, &with_delay, "wire", SELFTEST_DELAY_NS as f64);
     out.metrics
-        .insert("ledger.selftest_attributed_share", selftest);
+        .insert("ledger.selftest_attributed_share", selftest.share);
 
     // Same-run micro-batcher comparison: the `high` phase with batching off.
     let batcher_off = {
         let stack_off = Stack::bind(routed, &frames, server_options().with_batch_max(1))?;
         let mut session = Session::new(config, &frames, stack_off.addr(), seed, 3 << 40)?;
-        session.closed(workload.pipeline_depth, config.warmup_s)?;
+        session.closed(workload.depth(), config.warmup_s)?;
         let mut outcome = session.open(2000, workload.high_rps, seconds * 0.1)?;
         out.tally.add(
             session.tally.attempted,
@@ -754,15 +783,13 @@ pub fn served(
         unsampled_overhead(&mut || cycle.by_ref().take(8).cloned().collect(), true),
     );
 
-    out.correct = mismatched == 0 && exact && ledger.reconciles();
+    out.correct = mismatched == 0 && exact && ledger_holds(&ledger, &selftest);
     let replayed = 2 * REPLAY + 2 * SELFTEST + if routed { REPLAY / 2 } else { 0 };
     out.tally.add(replayed as u64, mismatched, mismatched);
     out.text = format!(
-        "{}  self-test: {:.0} ns added inside a wire span moved the wire row by {:.3} of it\n\
-         {}  codec round-trips captured frames exactly: {exact}\n",
+        "{}{}{}  codec round-trips captured frames exactly: {exact}\n",
         ledger.table(&workload.name),
-        SELFTEST_DELAY_NS as f64,
-        selftest,
+        selftest_line(&ledger, &selftest, "wire"),
         with_delay.table("self-test (delayed)"),
     );
     out.spans += &tracer.to_json_lines("replay");
@@ -773,10 +800,23 @@ pub fn served(
     Ok(out)
 }
 
-/// How much of the end-to-end change between two ledgers landed on the
-/// row that received the delay (`wire`), as a share of the delay.
-fn selftest_share(base: &Ledger, delayed: &Ledger) -> f64 {
-    (delayed.row("wire") - base.row("wire")) / SELFTEST_DELAY_NS as f64
+/// Whether a ledger may be trusted: its rows sum to the end-to-end time,
+/// none is negative, and the self-test's delay landed on its layer alone.
+fn ledger_holds(ledger: &Ledger, selftest: &SelfTest) -> bool {
+    ledger.reconciles() && ledger.rows_nonnegative() && selftest.passes()
+}
+
+/// The ledger checks, as printed under the table.
+fn selftest_line(ledger: &Ledger, selftest: &SelfTest, layer: &str) -> String {
+    format!(
+        "  rows non-negative: {}\n  self-test: {:.0} ns added inside a {layer} span moved the \
+         {layer} row by {:.3} of it and no other row by more than {:.3} of it (passes: {})\n",
+        ledger.rows_nonnegative(),
+        SELFTEST_DELAY_NS as f64,
+        selftest.share,
+        selftest.max_other_share,
+        selftest.passes()
+    )
 }
 
 /// The traced run of `cold_sweep`.
@@ -786,6 +826,7 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
     let mut sweep = ColdSweep::new(seed);
     let batch = config.batch_points;
     let traced_options = cold::runtime_options().with_trace_sampling(1);
+    let memory = MemoryBaseline::take();
     let mut lag = Vec::new();
     let mut closed = cold::run_phase(
         &mut sweep,
@@ -794,6 +835,7 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
         Duration::from_secs_f64(seconds * 0.2),
         seed,
         traced_options,
+        &memory,
     );
     for (tag, rate) in [(1000, workload.low_rps), (2000, workload.high_rps)] {
         let load = cold::ColdLoad::Open { rate, tag };
@@ -804,6 +846,7 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
             Duration::from_secs_f64(seconds * 0.1),
             seed,
             traced_options,
+            &memory,
         );
         out.tally
             .add(outcome.sent, outcome.failed(), outcome.mismatched);
@@ -860,17 +903,18 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
                   tracer: Option<&mut Tracer>,
                   sweep: &mut ColdSweep,
                   count: usize,
-                  delay_ns: u64,
+                  delay: Delay,
                   keep: &mut Kept| {
         let start = Instant::now();
         let mut tracer = tracer;
         for _ in 0..count {
             let (request, response) = match tracer.as_deref_mut() {
                 Some(t) => {
+                    delay.spin_at(Delay::Outside);
                     let root = t.open("e2e", "driver", sweep.drawn(), None);
                     let request =
                         t.time("next_request", "driver", sweep.drawn(), Some(root), || {
-                            spin(delay_ns);
+                            delay.spin_at(Delay::Inside);
                             sweep.next_request()
                         });
                     let sent = request.clone();
@@ -901,7 +945,7 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
                     Some(&mut tracer),
                     &mut sweep,
                     REPLAY / 8,
-                    0,
+                    Delay::Off,
                     &mut replayed,
                 ));
             } else {
@@ -910,7 +954,7 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
                     None,
                     &mut sweep,
                     REPLAY / 8,
-                    0,
+                    Delay::Off,
                     &mut untraced_keep,
                 ));
             }
@@ -940,7 +984,8 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
         .insert("ledger.tracing_overhead_ns", median(&overheads));
     out.put_ledger(&ledger);
 
-    // Self-test: the fixed delay goes into the driver-side generation span.
+    // Self-test: the fixed delay goes into the driver-side generation span,
+    // against the same delay outside every span, alternating in blocks.
     let scaled: Vec<Attribution> = attributions
         .iter()
         .map(|a| Attribution {
@@ -950,28 +995,27 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
         .collect();
     let (mut baseline, mut delayed) = (Tracer::new(), Tracer::new());
     let mut scratch = Vec::new();
-    submit(
-        &service,
-        Some(&mut baseline),
-        &mut sweep,
-        SELFTEST,
-        0,
-        &mut scratch,
-    );
-    submit(
-        &service,
-        Some(&mut delayed),
-        &mut sweep,
-        SELFTEST,
-        SELFTEST_DELAY_NS,
-        &mut scratch,
-    );
+    for _ in 0..8 {
+        for (tracer, delay) in [
+            (&mut baseline, Delay::Outside),
+            (&mut delayed, Delay::Inside),
+        ] {
+            submit(
+                &service,
+                Some(tracer),
+                &mut sweep,
+                SELFTEST / 8,
+                delay,
+                &mut scratch,
+            );
+        }
+    }
     service.shutdown();
     let base = Ledger::build(&baseline, "e2e", SELFTEST as u64, &scaled);
     let with_delay = Ledger::build(&delayed, "e2e", SELFTEST as u64, &scaled);
-    let selftest = (with_delay.row("driver") - base.row("driver")) / SELFTEST_DELAY_NS as f64;
+    let selftest = SelfTest::compare(&base, &with_delay, "driver", SELFTEST_DELAY_NS as f64);
     out.metrics
-        .insert("ledger.selftest_attributed_share", selftest);
+        .insert("ledger.selftest_attributed_share", selftest.share);
 
     // Check every replayed answer against a serial one-worker service.
     let reference = EvalService::new(RuntimeOptions::default().with_workers(1));
@@ -1009,14 +1053,13 @@ pub fn cold_sweep(config: &Config, workload: &WorkloadConfig, seed: u64, seconds
         ),
     );
 
-    out.correct = mismatched == 0 && ledger.reconciles();
+    out.correct = mismatched == 0 && ledger_holds(&ledger, &selftest);
     out.tally
         .add((2 * REPLAY + 2 * SELFTEST) as u64, mismatched, mismatched);
     out.text = format!(
-        "{}  self-test: {:.0} ns added inside a driver span moved the driver row by {:.3} of it\n",
+        "{}{}",
         ledger.table(&workload.name),
-        SELFTEST_DELAY_NS as f64,
-        selftest,
+        selftest_line(&ledger, &selftest, "driver"),
     );
     out.spans += &tracer.to_json_lines("replay");
     out.spans += &baseline.to_json_lines("selftest-baseline");

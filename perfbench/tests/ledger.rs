@@ -1,6 +1,6 @@
 //! The ledger's arithmetic: self times, attribution and reconciliation.
 
-use crosslight_perfbench::ledger::{Attribution, Ledger, Span, Tracer};
+use crosslight_perfbench::ledger::{Attribution, Ledger, SelfTest, Span, Tracer};
 
 /// One request: a root span with a wire child, an exchange child and a
 /// second wire child, laid out back to back from `at`; `delay` lengthens
@@ -95,4 +95,41 @@ fn live_spans_nest_and_reconcile() {
     assert!(ledger.row("wire") >= 2_000.0);
     assert!(ledger.row("unattributed") >= 5_000.0);
     assert!(tracer.to_json_lines("test").lines().count() == 150);
+}
+
+#[test]
+fn the_self_test_passes_only_when_the_delay_lands_on_one_row() {
+    let base = ledger(0);
+    let delayed = ledger(250);
+    let selftest = SelfTest::compare(&base, &delayed, "wire", 250.0);
+    assert_eq!(selftest.share, 1.0);
+    assert_eq!(selftest.max_other_share, 0.0);
+    assert!(selftest.passes());
+    // Blamed on the wrong layer: the wire row does not move.
+    let wrong = SelfTest::compare(&base, &delayed, "server", 250.0);
+    assert!(!wrong.passes());
+    // Counted twice: the right row moves, and so does another.
+    let mut doubled = delayed.clone();
+    for row in &mut doubled.rows {
+        if row.0 == "server" {
+            row.1 += 250.0;
+        }
+    }
+    assert!(!SelfTest::compare(&base, &doubled, "wire", 250.0).passes());
+}
+
+#[test]
+fn a_program_histogram_larger_than_the_exchange_is_caught() {
+    let mut tracer = Tracer::new();
+    request(&mut tracer, 0, 0, 0);
+    // 900 ns of server time claimed inside a 700 ns exchange.
+    let attributions = [Attribution {
+        layer: "server",
+        total_ns: 900.0,
+    }];
+    let ledger = Ledger::build(&tracer, "e2e", 1, &attributions);
+    assert!(ledger.reconciles(), "the sum still matches by construction");
+    assert!(ledger.row("unattributed") < 0.0);
+    assert!(!ledger.rows_nonnegative());
+    assert!(self::ledger(0).rows_nonnegative());
 }
