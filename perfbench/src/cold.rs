@@ -51,7 +51,7 @@ pub struct ColdOutcome {
     pub per_worker: Vec<u64>,
     /// CPU time the service's threads spent in the timed window, ns.
     pub cpu_ns: u64,
-    /// Peak resident memory during the phase above the run's baseline,
+    /// Peak resident memory during the phase above `memory`'s baseline,
     /// MiB (read before the reference check).
     pub rss_mb: f64,
 }
@@ -69,6 +69,13 @@ impl ColdOutcome {
 pub enum ColdLoad {
     /// Back-to-back `submit_batch` calls.
     Closed,
+    /// Back-to-back `submit_batch` calls until this many evaluations
+    /// were sent, however long that takes: the fixed work `rss_mb` is
+    /// measured on.
+    Fixed {
+        /// Evaluations to send.
+        points: u64,
+    },
     /// Poisson batch arrivals at this many evaluations per second.
     Open {
         /// Offered evaluations per second.
@@ -78,10 +85,10 @@ pub enum ColdLoad {
     },
 }
 
-/// Runs one phase against a fresh service built with `options`, then
-/// checks every report against serial one-worker services outside the
-/// timed window and restarts the memory peak, so the reference services
-/// never count towards the next phase's `rss_mb`.
+/// Runs one phase against a fresh service built with `options`, reads
+/// its memory peak, then checks every report against serial one-worker
+/// services outside the timed window and restarts the memory peak, so the
+/// reference services never count towards a later phase's `rss_mb`.
 #[must_use]
 pub fn run_phase(
     sweep: &mut ColdSweep,
@@ -96,7 +103,8 @@ pub fn run_phase(
     let replay = sweep.clone();
     let cpu_before = program_cpu_ns();
     let (mut out, digests) = match load {
-        ColdLoad::Closed => closed(&service, sweep, batch, duration),
+        ColdLoad::Closed => closed(&service, sweep, batch, duration, u64::MAX),
+        ColdLoad::Fixed { points } => closed(&service, sweep, batch, Duration::MAX, points),
         ColdLoad::Open { rate, tag } => open(&service, sweep, batch, duration, rate, tag, seed),
     };
     out.cpu_ns = program_cpu_ns() - cpu_before;
@@ -114,13 +122,14 @@ fn closed(
     sweep: &mut ColdSweep,
     batch: usize,
     duration: Duration,
+    points: u64,
 ) -> (ColdOutcome, Vec<Option<u64>>) {
     let mut out = ColdOutcome::default();
     let mut digests = Vec::new();
     let window = duration / RATE_WINDOWS as u32;
     let mut window_done = [0u64; RATE_WINDOWS];
     let start = Instant::now();
-    while start.elapsed() < duration {
+    while start.elapsed() < duration && out.sent < points {
         let requests = sweep.next_batch(batch);
         out.sent += batch as u64;
         let submitted = Instant::now();
@@ -374,11 +383,26 @@ pub fn run(config: &Config, workload: &WorkloadConfig, seed: u64, seconds: f64) 
         sweep = Some(fresh);
     }
     let mut sweep = sweep.expect("at least one set-up ran");
-    let memory = MemoryBaseline::take();
-    MemoryBaseline::restart_peak();
-    let mut rss_mb = 0.0_f64;
     let mut tally = Tally::default();
     let batch = config.batch_points;
+    // Memory is read on fixed work, first, in a process that has run
+    // nothing else since the set-ups: a service holding `memory_points`
+    // answers and the model-cache entries of exactly
+    // `memory_points / POINTS_PER_DIMS` dimension tuples.
+    let memory = MemoryBaseline::take();
+    MemoryBaseline::restart_peak();
+    let fixed = run_phase(
+        &mut ColdSweep::by_dims(seed),
+        batch,
+        ColdLoad::Fixed {
+            points: config.memory_points,
+        },
+        Duration::MAX,
+        seed,
+        runtime_options(),
+        &memory,
+    );
+    tally.add(fixed.sent, fixed.failed(), fixed.mismatched);
     let result = run_rounds(workload, config.shares, seconds, |phase, secs| {
         let load = match phase {
             Phase::Closed => ColdLoad::Closed,
@@ -393,7 +417,6 @@ pub fn run(config: &Config, workload: &WorkloadConfig, seed: u64, seconds: f64) 
             runtime_options(),
             &memory,
         );
-        rss_mb = rss_mb.max(outcome.rss_mb);
         tally.add(outcome.sent, outcome.failed(), outcome.mismatched);
         Ok::<_, std::convert::Infallible>(PhaseSample {
             cpu_ns: outcome.cpu_ns,
@@ -407,7 +430,7 @@ pub fn run(config: &Config, workload: &WorkloadConfig, seed: u64, seconds: f64) 
     });
     let Ok(mut e2e) = result;
     e2e.tally = tally;
-    e2e.rss_mb = rss_mb;
+    e2e.rss_mb = fixed.rss_mb;
     e2e.setup_s = median(&setup_samples);
     e2e.setup_samples = setup_samples;
     e2e

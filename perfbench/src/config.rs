@@ -71,6 +71,9 @@ pub struct Config {
     pub drain_timeout_s: f64,
     /// Evaluations per cold-sweep batch.
     pub batch_points: usize,
+    /// Evaluations of the fixed-work phase the cold sweep reads `rss_mb`
+    /// on.
+    pub memory_points: u64,
     /// Shares of `--seconds` given to each phase kind, in every workload.
     pub shares: PhaseShares,
     /// Every workload, in run order.
@@ -131,6 +134,7 @@ impl Config {
             warmup_s: num(&root, "warmup_s"),
             drain_timeout_s: num(&root, "drain_timeout_s"),
             batch_points: num(&root, "batch_points") as usize,
+            memory_points: num(&root, "memory_points") as u64,
             shares: PhaseShares {
                 closed: num(shares, "closed"),
                 low: num(shares, "low"),

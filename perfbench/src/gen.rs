@@ -105,10 +105,17 @@ pub fn poisson_schedule(seed: u64, stream_tag: u64, rate_per_s: f64, duration_ns
 /// before any repeats (a full-period affine permutation of the index
 /// space, restarted when exhausted).  A service that sees fewer points
 /// than that never sees a repeat, so every request misses its result cache.
+///
+/// [`ColdSweep::by_dims`] permutes whole dimension tuples instead and
+/// draws the [`POINTS_PER_DIMS`] points of each in a row, so a prefix of
+/// `32 * d` draws always holds exactly `d` dimension tuples with every
+/// variant, resolution and model: the number of distinct model-cache keys
+/// it creates is fixed, whatever the seed.
 #[derive(Debug, Clone)]
 pub struct ColdSweep {
     dims: Vec<(usize, usize, usize, usize)>,
     workloads: [Arc<NetworkWorkload>; 4],
+    block: u64,
     multiplier: u64,
     offset: u64,
     next: u64,
@@ -117,10 +124,24 @@ pub struct ColdSweep {
 /// Resolutions swept by [`ColdSweep`].
 pub const SWEEP_BITS: [u32; 2] = [8, 16];
 
+/// Points per dimension tuple: 4 variants × 2 resolutions × 4 models.
+pub const POINTS_PER_DIMS: u64 = 4 * SWEEP_BITS.len() as u64 * 4;
+
 impl ColdSweep {
-    /// The sweep order for `seed`.
+    /// The sweep order for `seed`, point by point.
     #[must_use]
     pub fn new(seed: u64) -> Self {
+        Self::permuted(seed, 1)
+    }
+
+    /// The sweep order for `seed`, one dimension tuple at a time.
+    #[must_use]
+    pub fn by_dims(seed: u64) -> Self {
+        Self::permuted(seed, POINTS_PER_DIMS)
+    }
+
+    /// Permutes blocks of `block` consecutive index-space points.
+    fn permuted(seed: u64, block: u64) -> Self {
         let dims = dense_candidates();
         let workloads = PaperModel::all().map(|model| {
             Arc::new(
@@ -130,11 +151,12 @@ impl ColdSweep {
         let mut sweep = Self {
             dims,
             workloads,
+            block,
             multiplier: 1,
             offset: 0,
             next: 0,
         };
-        let len = sweep.len();
+        let len = sweep.len() / block;
         let mut rng = Rng::new(seed, stream::SWEEP);
         sweep.offset = rng.below(len);
         // A multiplier coprime to the length makes i -> a*i + b a bijection.
@@ -164,11 +186,12 @@ impl ColdSweep {
     /// the sweep.
     ///
     pub fn next_request(&mut self) -> EvalRequest {
-        let len = self.len();
+        let len = self.len() / self.block;
         let id = self.next;
-        let index = ((u128::from(self.multiplier) * u128::from(self.next % len)
+        let slot = ((u128::from(self.multiplier) * u128::from(self.next / self.block % len)
             + u128::from(self.offset))
             % u128::from(len)) as u64;
+        let index = slot * self.block + self.next % self.block;
         self.next += 1;
         let model = (index % 4) as usize;
         let rest = index / 4;

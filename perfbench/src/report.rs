@@ -68,8 +68,9 @@ pub struct EndToEnd {
     pub setup_s: f64,
     /// Every set-up time measured, seconds.
     pub setup_samples: Vec<f64>,
-    /// Peak resident memory over the run above the resident memory
-    /// before the program was set up, MiB (see [`MemoryBaseline`]).
+    /// Peak resident memory above the resident memory before the program
+    /// was set up, MiB (see [`MemoryBaseline`]): over the whole run on the
+    /// served workloads, over a fixed-work phase on the cold sweep.
     pub rss_mb: f64,
     /// p99 of how late the open-loop generator sent, microseconds.
     pub lag_p99_us: f64,
@@ -78,40 +79,48 @@ pub struct EndToEnd {
 }
 
 impl EndToEnd {
-    /// The sustained rate of `ladder` (0 when no rung passed).  It starts
-    /// from the highest passing rung below the first two failing rungs in
-    /// a row: one rung that a host stall made fail does not end the climb,
-    /// and one that passed by luck above the knee does not count.  When
-    /// the rung above failed on p99 alone, the rate moves towards it to
-    /// where p99 reaches `p99_limit_us`, interpolating log p99 linearly in
-    /// the rate, so a change smaller than one rung still shows.
+    /// The sustained rate of `ladder`: the rate at which a least-squares
+    /// line through (ln rate, ln p99) of the rungs below the first one that
+    /// failed requests or whose backlog grew reaches `p99_limit_us`, kept
+    /// within the rates of those rungs (0 when none of them passed).  p99
+    /// rises smoothly with the offered rate on every workload here, with
+    /// no sharp knee inside the ladders, so reading the first failing rung
+    /// lets one host stall move the rate by a rung or more; the fit
+    /// spreads that stall over every rung, and a change smaller than one
+    /// rung still shows.
     #[must_use]
     pub fn sustained(ladder: &[Rung], p99_limit_us: f64) -> f64 {
-        let mut best = None;
-        for (i, rung) in ladder.iter().enumerate() {
-            if rung.pass {
-                best = Some(i);
-            } else if ladder.get(i + 1).is_none_or(|next| !next.pass) {
-                break;
-            }
+        let fitted: Vec<&Rung> = ladder
+            .iter()
+            .take_while(|r| !r.backlog_growing && r.failed == 0)
+            .filter(|r| r.latency.p99_us > 0.0)
+            .collect();
+        if !fitted.iter().any(|r| r.pass) {
+            return 0.0;
         }
-        let Some(best) = best else {
+        let points: Vec<(f64, f64)> = fitted
+            .iter()
+            .map(|r| (r.rate.ln(), r.latency.p99_us.ln()))
+            .collect();
+        let (Some(&(lowest, _)), Some(&(highest, _))) = (points.first(), points.last()) else {
             return 0.0;
         };
-        let low = &ladder[best];
-        match ladder.get(best + 1) {
-            Some(high)
-                if !high.backlog_growing
-                    && high.failed == 0
-                    && high.latency.p99_us > p99_limit_us
-                    && low.latency.p99_us > 0.0 =>
-            {
-                let t = (p99_limit_us / low.latency.p99_us).ln()
-                    / (high.latency.p99_us / low.latency.p99_us).ln();
-                low.rate + t.clamp(0.0, 1.0) * (high.rate - low.rate)
-            }
-            _ => low.rate,
-        }
+        let n = points.len() as f64;
+        let mean_x = points.iter().map(|p| p.0).sum::<f64>() / n;
+        let mean_y = points.iter().map(|p| p.1).sum::<f64>() / n;
+        let sxx: f64 = points.iter().map(|p| (p.0 - mean_x).powi(2)).sum();
+        let sxy: f64 = points.iter().map(|p| (p.0 - mean_x) * (p.1 - mean_y)).sum();
+        // With one point, or p99 not rising, the line never crosses the
+        // limit: the rate is the top or the bottom of the fitted rungs.
+        let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
+        let crossing = if slope > 0.0 {
+            mean_x + (p99_limit_us.ln() - mean_y) / slope
+        } else if mean_y <= p99_limit_us.ln() {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
+        };
+        crossing.clamp(lowest, highest).exp()
     }
 
     /// The metrics named in `BENCHMARK.json`'s `end_to_end` list, with

@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use crosslight_perfbench::gen::{poisson_schedule, ColdSweep, MixStream};
+use crosslight_perfbench::gen::{poisson_schedule, ColdSweep, MixStream, POINTS_PER_DIMS};
 
 #[test]
 fn same_seed_gives_the_same_request_stream() {
@@ -99,6 +99,41 @@ fn cold_sweep_is_a_permutation_of_the_design_space() {
         seen[slot] = true;
     }
     assert!(seen.iter().all(|&s| s));
+}
+
+#[test]
+fn cold_sweep_by_dims_draws_every_point_of_a_dimension_tuple_in_a_row() {
+    let dims_of = |request: &crosslight_runtime::request::EvalRequest| {
+        let config = request
+            .config()
+            .expect("sweep points are CrossLight configs");
+        (
+            config.conv_unit_size,
+            config.fc_unit_size,
+            config.conv_units,
+            config.fc_units,
+        )
+    };
+    let order = |seed| {
+        let mut sweep = ColdSweep::by_dims(seed);
+        let mut keys = HashSet::new();
+        let mut tuples = Vec::new();
+        // The memory phase's 131072 points: 4096 whole tuples.
+        for _ in 0..4096 {
+            let block = sweep.next_batch(POINTS_PER_DIMS as usize);
+            let tuple = dims_of(&block[0]);
+            assert!(block.iter().all(|r| dims_of(r) == tuple));
+            for request in &block {
+                assert!(keys.insert(request.key()), "a cache key repeated");
+            }
+            tuples.push(tuple);
+        }
+        let distinct: HashSet<_> = tuples.iter().collect();
+        assert_eq!(distinct.len(), tuples.len(), "a dimension tuple repeated");
+        tuples
+    };
+    assert_eq!(order(5), order(5));
+    assert_ne!(order(5), order(6));
 }
 
 #[test]

@@ -10,11 +10,18 @@ use crosslight_runtime::pool::EvalService;
 /// Rungs at 1000, 2000, ... per second with the given p99 (us); a rung
 /// passes when its p99 is within the 1000 us limit.
 fn ladder(p99_us: &[f64]) -> Vec<Rung> {
-    p99_us
+    let rates: Vec<f64> = (1..=p99_us.len()).map(|i| 1000.0 * i as f64).collect();
+    let mut next = p99_us.iter();
+    ladder_at(&rates, |_| *next.next().expect("one p99 per rung"))
+}
+
+/// Rungs at `rates` with p99 `p99_us(rate)` (us).
+fn ladder_at(rates: &[f64], mut p99_us: impl FnMut(f64) -> f64) -> Vec<Rung> {
+    rates
         .iter()
-        .enumerate()
-        .map(|(i, &p99_us)| Rung {
-            rate: 1000.0 * (i + 1) as f64,
+        .map(|&rate| (rate, p99_us(rate)))
+        .map(|(rate, p99_us)| Rung {
+            rate,
             latency: Latency {
                 p50_us: p99_us / 2.0,
                 p99_us,
@@ -29,39 +36,75 @@ fn ladder(p99_us: &[f64]) -> Vec<Rung> {
 
 const LIMIT: f64 = 1000.0;
 
-/// Rungs that pass or fail on failed requests alone (p99 100 us).
-fn by_failures(passes: &[bool]) -> Vec<Rung> {
-    let mut rungs = ladder(&vec![100.0; passes.len()]);
-    for (rung, &pass) in rungs.iter_mut().zip(passes) {
-        rung.failed = u64::from(!pass);
-        rung.pass = pass;
+fn close(got: f64, want: f64) -> bool {
+    (got - want).abs() < 1e-6 * want
+}
+
+#[test]
+fn sustained_is_where_the_fitted_power_law_reaches_the_limit() {
+    // p99 = 250 us * (rate / 1000/s)^2 reaches 1000 us at 2000/s exactly,
+    // between rungs as well as on one.
+    let law = |rates: &[f64]| ladder_at(rates, |rate| 250.0 * (rate / 1000.0).powi(2));
+    let rate = EndToEnd::sustained(&law(&[1000.0, 2000.0, 3000.0, 4000.0]), LIMIT);
+    assert!(close(rate, 2000.0), "{rate}");
+    let rate = EndToEnd::sustained(&law(&[1000.0, 1500.0, 2500.0, 3000.0]), LIMIT);
+    assert!(close(rate, 2000.0), "{rate}");
+}
+
+#[test]
+fn stalled_rungs_move_sustained_by_less_than_a_rung() {
+    // p99 = 1000 us * (rate / 4500/s)^2 on rungs 1000/s apart.
+    let rates: Vec<f64> = (1..=8).map(|i| 1000.0 * f64::from(i)).collect();
+    let mut rungs = ladder_at(&rates, |rate| 1000.0 * (rate / 4500.0).powi(2));
+    assert!(close(EndToEnd::sustained(&rungs, LIMIT), 4500.0));
+    // Stalls triple the p99 of the two rungs below the limit, so they fail
+    // in a row.
+    for rung in &mut rungs[2..4] {
+        rung.latency.p99_us *= 3.0;
+        rung.pass = false;
     }
-    rungs
+    let rate = EndToEnd::sustained(&rungs, LIMIT);
+    assert!(rate > 3500.0 && rate < 4500.0, "{rate}");
 }
 
 #[test]
-fn sustained_starts_from_the_top_pass_below_two_failures_in_a_row() {
-    let sustained = |passes: &[bool]| EndToEnd::sustained(&by_failures(passes), LIMIT);
-    assert_eq!(sustained(&[true, true, true]), 3000.0);
-    // One failing rung does not end the climb.
-    assert_eq!(sustained(&[true, false, true, false, false]), 3000.0);
-    // A pass above two failures in a row does not count.
-    assert_eq!(sustained(&[true, true, false, false, true]), 2000.0);
-    assert_eq!(sustained(&[false, false, true]), 0.0);
-    assert_eq!(EndToEnd::sustained(&[], LIMIT), 0.0);
+fn sustained_is_kept_within_the_fitted_rungs() {
+    // Every rung within the limit: the top rung.
+    let rate = EndToEnd::sustained(&ladder(&[100.0, 200.0, 400.0]), LIMIT);
+    assert!(close(rate, 3000.0), "{rate}");
+    // Only the lowest rung within the limit, far below the fitted line.
+    let rate = EndToEnd::sustained(&ladder(&[900.0, 40_000.0, 80_000.0]), LIMIT);
+    assert!(close(rate, 1000.0), "{rate}");
+    // p99 not rising with the rate: the top or the bottom.
+    let rate = EndToEnd::sustained(&ladder(&[500.0, 400.0, 300.0]), LIMIT);
+    assert!(close(rate, 3000.0), "{rate}");
+    let rate = EndToEnd::sustained(&ladder(&[3000.0, 5000.0, 900.0]), LIMIT);
+    assert!(close(rate, 1000.0), "{rate}");
 }
 
 #[test]
-fn sustained_interpolates_to_where_p99_reaches_the_limit() {
-    // log p99 runs from 250 to 4000 us between 1000/s and 2000/s: the
-    // limit, 1000 us, is halfway.
-    let rate = EndToEnd::sustained(&ladder(&[250.0, 4000.0]), LIMIT);
-    assert!((rate - 1500.0).abs() < 1e-9, "{rate}");
-    // A rung that failed on its backlog is not interpolated towards.
-    let mut rungs = ladder(&[250.0, 900.0]);
+fn the_fit_stops_below_a_rung_that_failed_requests_or_grew_a_backlog() {
+    let mut rungs = ladder(&[250.0, 1000.0, 2250.0, 4000.0]);
+    // A failed rung with a low p99 would drag the line down if fitted.
+    rungs[2].latency.p99_us = 100.0;
+    rungs[2].failed = 1;
+    rungs[2].pass = false;
+    let rate = EndToEnd::sustained(&rungs, LIMIT);
+    assert!(close(rate, 2000.0), "{rate}");
+    // A pass above a growing backlog does not count.
+    let mut rungs = ladder(&[250.0, 4000.0, 500.0]);
     rungs[1].backlog_growing = true;
-    rungs[1].pass = false;
-    assert_eq!(EndToEnd::sustained(&rungs, LIMIT), 1000.0);
+    let rate = EndToEnd::sustained(&rungs, LIMIT);
+    assert!(close(rate, 1000.0), "{rate}");
+    // Nothing passed below it: 0.
+    let mut rungs = ladder(&[2000.0, 4000.0]);
+    assert_eq!(EndToEnd::sustained(&rungs, LIMIT), 0.0);
+    rungs[0].latency.p99_us = 500.0;
+    rungs[0].failed = 1;
+    rungs[1].latency.p99_us = 500.0;
+    rungs[1].pass = true;
+    assert_eq!(EndToEnd::sustained(&rungs, LIMIT), 0.0);
+    assert_eq!(EndToEnd::sustained(&[], LIMIT), 0.0);
 }
 
 #[test]
