@@ -1,7 +1,5 @@
 //! Common evaluation interface for photonic accelerators.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::error::{ArchitectureError, Result};
 use crosslight_core::simulator::{AverageMetrics, CrossLightSimulator, SimulationReport};
 use crosslight_core::variants::CrossLightVariant;
@@ -9,7 +7,7 @@ use crosslight_neural::workload::NetworkWorkload;
 
 /// The metrics every accelerator reports for one workload — the columns of
 /// the paper's Fig. 7, Fig. 8 and Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorReport {
     /// Total accelerator power in watts.
     pub power_watts: f64,
@@ -109,7 +107,7 @@ pub trait PhotonicAccelerator {
 }
 
 /// Adapter exposing a CrossLight variant through the common trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossLightAccelerator {
     variant: CrossLightVariant,
 }

@@ -23,8 +23,6 @@
 //!
 //! [`ConfigKey`]: crosslight_core::canonical::ConfigKey
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::area::{accelerator_area, AcceleratorArea};
 use crosslight_core::canonical::{ArchKey, BackendKey};
 use crosslight_core::config::CrossLightConfig;
@@ -58,7 +56,7 @@ mod tag {
 pub const ELECTRONIC_NOMINAL_BITS: u32 = 8;
 
 /// One simulatable accelerator architecture, fully parameterized.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArchSpec {
     /// A CrossLight configuration (any variant, dims and resolution).
     CrossLight(CrossLightConfig),

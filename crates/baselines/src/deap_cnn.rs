@@ -21,8 +21,6 @@
 //! substituted, which keeps all device parameters (Table II) identical across
 //! the comparison.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::area::accelerator_area;
 use crosslight_core::config::{CrossLightConfig, DesignChoices};
 use crosslight_core::performance::inference_metrics;
@@ -54,7 +52,7 @@ pub const DEAP_FC_UNITS: usize = 40;
 pub const DEAP_MR_SPACING_UM: f64 = 120.0;
 
 /// The DEAP-CNN baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeapCnn {
     config: CrossLightConfig,
 }

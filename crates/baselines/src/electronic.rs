@@ -6,10 +6,8 @@
 //! rather than simulating those platforms; this module records the same
 //! literature values so the comparison tables can be regenerated.
 
-use serde::{Deserialize, Serialize};
-
 /// One electronic platform row of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectronicPlatform {
     /// Platform name as printed in the paper.
     pub name: &'static str,

@@ -18,8 +18,6 @@
 //! The model shares the Table II device parameters, loss model and laser
 //! equation with the rest of the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::decompose::sequential_passes;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_photonics::devices::{photodetector, tia, Transceiver};
@@ -63,7 +61,7 @@ pub const HOLYLIGHT_CONTROL_MW: f64 = 2_000.0;
 pub const HOLYLIGHT_RESOLUTION_BITS: u32 = 16;
 
 /// The HolyLight baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HolyLight {
     units: usize,
     unit_size: usize,

@@ -20,8 +20,6 @@
 //! The model shares the Table II device parameters, loss model and laser
 //! equation with the rest of the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::decompose::sequential_passes;
 use crosslight_core::error::{ArchitectureError, Result};
 use crosslight_neural::workload::NetworkWorkload;
@@ -65,7 +63,7 @@ pub const LITECON_CONTROL_MW: f64 = 500.0;
 pub const LITECON_READOUT_RATE_GBPS: f64 = 1.0;
 
 /// The LiteCON all-photonic accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LiteCon {
     units: usize,
     unit_size: usize,

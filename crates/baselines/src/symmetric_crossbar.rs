@@ -23,8 +23,6 @@
 //! The model shares the Table II device parameters, loss model and laser
 //! equation with the rest of the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::decompose::sequential_passes;
 use crosslight_core::error::{ArchitectureError, Result};
 use crosslight_neural::workload::NetworkWorkload;
@@ -71,7 +69,7 @@ pub const SYMMETRIC_COLUMN_AREA_MM2: f64 = 0.02;
 pub const SYMMETRIC_CONTROL_MW: f64 = 1_500.0;
 
 /// The symmetric-MRR crossbar accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SymmetricCrossbar {
     rows: usize,
     cols: usize,

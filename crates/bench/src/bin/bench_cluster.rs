@@ -1,30 +1,15 @@
-//! Cluster-trajectory benchmark: measures the fingerprint-routing
-//! [`Router`] front-end against serving the same cache-warm mix from a
-//! single loopback `Server`, plus the routing-primitive microbenches, and
-//! emits a machine-readable `BENCH_cluster.json` on the shared trajectory
-//! harness.
+//! Cluster-trajectory benchmark: the routing-primitive microbench and the
+//! failover-recovery cost (cold vs warm readmission), emitted as a
+//! machine-readable `BENCH_cluster.json` on the shared trajectory harness.
+//! Routed serving throughput and the router hop are measured by the
+//! `routed_warm` workload of the layered benchmark in `perfbench/`.
 //!
 //! ```sh
 //! cargo run --release -p crosslight-bench --bin bench_cluster            # full run
 //! cargo run --release -p crosslight-bench --bin bench_cluster -- --quick # CI smoke
 //! cargo run --release -p crosslight-bench --bin bench_cluster -- --out path.json
 //! ```
-//!
-//! The headline comparison is per-request: `server_direct_warm_mix` is
-//! what a client pays talking straight to one server, and
-//! `cluster_loopback_warm_mix` is what the same client pays for the same
-//! scenario stream through the router and three backends.  The routed
-//! path is structurally more expensive than one extra hop: the router
-//! holds a backend connection for a full request/response round trip per
-//! exchange (no backend pipelining — exactly-once failover accounting
-//! needs each in-flight request pinned to one connection), so routed
-//! concurrency is the connection fan, while the direct client pipelines
-//! freely.  The acceptance bar for this subsystem is the routed path
-//! staying within 6× of direct serving on the warm mix; the measured
-//! ratio is embedded in the JSON as `speedup_vs_baseline` of
-//! `cluster_loopback_warm_mix` (a value ≥ 1/6 means within 6×).
 
-use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use crosslight_bench::{measure, print_speedups, render_trajectory_json, BenchResult};
@@ -62,110 +47,6 @@ fn main() {
         rendezvous_order(key, 3)
     }));
 
-    // ---- the warm mix against one server, directly ------------------------
-    let solo = Server::bind(
-        "127.0.0.1:0",
-        ServerOptions::default()
-            .with_workers(workers)
-            .with_queue_capacity(16 * 1024),
-    )
-    .expect("bind loopback server");
-    let mut direct_client = Client::connect(solo.local_addr()).expect("connect to server");
-    let direct_warm = direct_client
-        .eval_pipelined(&specs, 0)
-        .expect("direct warm pass succeeds");
-    assert_eq!(direct_warm.len(), specs.len());
-
-    let direct = measure("server_direct_warm_mix_batch", window_ms, || {
-        direct_client
-            .eval_pipelined(&specs, 0)
-            .expect("pipelined mix succeeds")
-    });
-    let direct_per_req_ns = direct.ns_per_iter / specs.len() as f64;
-    results.push(BenchResult {
-        name: "server_direct_warm_mix".to_string(),
-        ns_per_iter: direct_per_req_ns,
-        iterations: direct.iterations,
-        // Scaling a distribution by a constant scales its quantiles, so the
-        // batch percentiles divided by the mix size are the per-request ones.
-        p50_ns: direct.p50_ns.map(|p| p / specs.len() as f64),
-        p99_ns: direct.p99_ns.map(|p| p / specs.len() as f64),
-    });
-
-    // ---- the same mix through the router over three backends --------------
-    let backends: Vec<Server> = (0..3)
-        .map(|_| {
-            Server::bind(
-                "127.0.0.1:0",
-                ServerOptions::default()
-                    .with_workers(workers)
-                    .with_queue_capacity(16 * 1024),
-            )
-            .expect("bind backend")
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
-    // Each exchange occupies one backend connection for a full round
-    // trip, so the connection fan bounds routed concurrency; 4 per
-    // backend is the serving configuration this tier is sized for.
-    let router = Router::bind(
-        "127.0.0.1:0",
-        &addrs,
-        RouterOptions::default().with_backend_connections(4),
-    )
-    .expect("bind router");
-    let mut routed_client = Client::connect(router.local_addr()).expect("connect to router");
-
-    // Warm pass: warms each backend's shard of the mix and verifies the
-    // routed answers against the direct ones, bit for bit.
-    let routed_warm = routed_client
-        .eval_pipelined(&specs, 0)
-        .expect("routed warm pass succeeds");
-    assert_eq!(routed_warm.len(), specs.len());
-    for response in &routed_warm {
-        let id = response.id.expect("ids are echoed") as usize;
-        let ResponseBody::Eval(frame) = &response.body else {
-            panic!("unexpected routed response {response:?}");
-        };
-        let ResponseBody::Eval(direct_frame) = &direct_warm[id].body else {
-            panic!("unexpected direct response {:?}", direct_warm[id]);
-        };
-        assert_eq!(
-            frame.report, direct_frame.report,
-            "routed response diverged from direct serving"
-        );
-    }
-
-    let routed = measure("cluster_loopback_warm_mix_batch", window_ms, || {
-        routed_client
-            .eval_pipelined(&specs, 0)
-            .expect("pipelined mix succeeds")
-    });
-    let routed_per_req_ns = routed.ns_per_iter / specs.len() as f64;
-    results.push(BenchResult {
-        name: "cluster_loopback_warm_mix".to_string(),
-        ns_per_iter: routed_per_req_ns,
-        iterations: routed.iterations,
-        p50_ns: routed.p50_ns.map(|p| p / specs.len() as f64),
-        p99_ns: routed.p99_ns.map(|p| p / specs.len() as f64),
-    });
-
-    let stats = router.stats();
-    assert_eq!(stats.shed_total, 0, "a warm loopback run must not shed");
-    assert_eq!(stats.evals_failed, 0);
-    println!(
-        "router  : {} evals routed, {} failovers, {} retries during the measured runs",
-        stats.evals_routed, stats.failovers, stats.retries
-    );
-
-    drop(routed_client);
-    drop(direct_client);
-    router.shutdown();
-    for backend in backends {
-        backend.shutdown();
-    }
-    solo.shutdown();
-
     // ---- failover recovery: cold vs warm readmission ----------------------
     // The same kill → outage → restart → readmit cycle, measured twice:
     // once with warm-state handoff disabled (the readmitted backend
@@ -175,7 +56,7 @@ fn main() {
     // run's steady-state serial sweep as its baseline, so the JSON's
     // `speedup_vs_baseline` is the recovery-vs-steady cost ratio; the
     // acceptance bar is warm-recovery p99 within 2× the steady warm p99.
-    let mut failover_baselines: Vec<(String, f64)> = Vec::new();
+    let mut baselines: Vec<(&str, f64)> = Vec::new();
     for (name, handoff) in [
         ("cluster_failover_cold_recovery", false),
         ("cluster_failover_warm_recovery", true),
@@ -199,30 +80,16 @@ fn main() {
             recovery_result.p99_ns.unwrap_or(f64::NAN),
             recovery_result.p99_ns.unwrap_or(f64::NAN) / steady_result.p99_ns.unwrap_or(f64::NAN),
         );
-        failover_baselines.push((name.to_string(), steady_result.ns_per_iter));
+        baselines.push((name, steady_result.ns_per_iter));
         results.push(steady_result);
         results.push(recovery_result);
     }
 
-    // The acceptance ratio, recorded as a same-run baseline so the JSON's
-    // `speedup_vs_baseline` field *is* the ratio: routed vs direct serving
-    // (≥ 1/6 ⇔ within 6×).
-    let mut baselines: Vec<(&str, f64)> = vec![("cluster_loopback_warm_mix", direct_per_req_ns)];
-    for (name, ns) in &failover_baselines {
-        baselines.push((name.as_str(), *ns));
-    }
-    let ratio = routed_per_req_ns / direct_per_req_ns;
-    println!(
-        "\ncluster loopback {routed_per_req_ns:.0} ns/req vs direct server \
-         {direct_per_req_ns:.0} ns/req → {ratio:.2}× direct cost (acceptance bar: ≤ 6×)"
-    );
-
     let json = render_trajectory_json(
         "crosslight-bench-cluster/v1",
         mode,
-        "5c1afd5 (pre-cluster seed: one server per client; the recorded baseline of \
-         cluster_loopback_warm_mix is server_direct_warm_mix measured in this same run, \
-         so speedup_vs_baseline is the routed-vs-direct cost ratio)",
+        "same run (the recorded baseline of each failover-recovery entry is its steady-state \
+         sweep, so speedup_vs_baseline is the steady-vs-recovery cost ratio)",
         &baselines,
         &results,
     );

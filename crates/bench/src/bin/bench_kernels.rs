@@ -22,8 +22,9 @@ use crosslight_neural::quant::QuantConfig;
 use crosslight_neural::tensor::{im2col_into, reference, Im2colSpec, Tensor};
 use crosslight_neural::train::{evaluate_quantized, train, TrainConfig};
 use crosslight_neural::zoo::PaperModel;
+use crosslight_photonics::mr::{Microring, MrGeometry};
 use crosslight_photonics::thermal::ThermalCrosstalkModel;
-use crosslight_photonics::units::{Micrometers, Radians};
+use crosslight_photonics::units::{Micrometers, Nanometers, Radians};
 use crosslight_tuning::ted::{TedSolver, TedWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,6 +142,24 @@ fn main() {
             .solve_with(&targets, &mut workspace)
             .expect("solvable")
             .total_power
+    }));
+
+    // --- MR through-port transmission over a 1000-point wavelength sweep ---
+    let ring = Microring::new(MrGeometry::optimized(), Nanometers::new(1550.0));
+    results.push(measure("mr_through_transmission_sweep", window_ms, || {
+        (0..1_000)
+            .map(|i| {
+                let wavelength = Nanometers::new(1549.0 + 0.002 * f64::from(i));
+                ring.through_transmission(std::hint::black_box(wavelength))
+            })
+            .sum::<f64>()
+    }));
+
+    // --- 8-bit fake quantization of a 4096-value activation tensor --------
+    let activations = Tensor::random_uniform(vec![4096], 1.0, &mut StdRng::seed_from_u64(2));
+    let quant = QuantConfig::uniform(8);
+    results.push(measure("fake_quantize_4096_values", window_ms, || {
+        quant.quantize_activations(std::hint::black_box(&activations))
     }));
 
     let json = render_trajectory_json(

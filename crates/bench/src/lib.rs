@@ -1,35 +1,19 @@
 //! # crosslight-bench
 //!
-//! Criterion benchmark harness for the CrossLight reproduction.
-//!
-//! The benches do double duty: they measure how long each experiment takes to
-//! regenerate, and (once per bench, outside the timed loop) they print the
-//! regenerated table so `cargo bench` output contains the paper-style rows.
-//!
-//! * `benches/paper_figures.rs` — one bench per figure (device DSE, Fig. 4,
-//!   Fig. 5, Fig. 6, Fig. 7, Fig. 8, §V.B resolution analysis).
-//! * `benches/paper_tables.rs` — Table III.
-//! * `benches/kernels.rs` — microbenchmarks of the core kernels (MR
-//!   transmission, TED solve, conv forward, quantization, full simulator
-//!   evaluation).
-//!
-//! The crate also hosts the shared benchmark-trajectory harness
-//! ([`measure`], [`measure_once`], [`render_trajectory_json`]) behind the
-//! `bench_kernels` and `bench_sim` bins: each emits a `BENCH_*.json` with
-//! embedded pre-refactor baselines so every PR records a perf datapoint for
-//! both the neural-kernel and the analytical-simulator trajectories.
+//! The shared benchmark-trajectory harness ([`measure`], [`measure_once`],
+//! [`render_trajectory_json`]) behind the `bench_kernels`, `bench_sim` and
+//! `bench_cluster` bins: each emits a `BENCH_*.json` so every PR records a
+//! perf datapoint for the neural kernels, the analytical simulator and the
+//! cluster's failover path.  Serving throughput and latency are measured
+//! by the layered benchmark in `perfbench/`; the paper's figures and tables
+//! are printed by the examples (`design_space`, `accelerator_comparison`,
+//! `thermal_tuning`, `quantization_study`).
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
 use crosslight_telemetry::Histogram;
-
-/// Prints a named experiment table once, prefixed so it is easy to find in
-/// `cargo bench` output.
-pub fn print_table(title: &str, table: &crosslight_experiments::TextTable) {
-    println!("\n=== {title} ===\n{}", table.render());
-}
 
 /// One measured workload of a benchmark-trajectory bin (`bench_kernels`,
 /// `bench_sim`).
@@ -204,14 +188,6 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crosslight_experiments::TextTable;
-
-    #[test]
-    fn print_table_does_not_panic() {
-        let mut table = TextTable::new(vec!["a", "b"]);
-        table.push_row(vec!["1", "2"]);
-        print_table("smoke", &table);
-    }
 
     #[test]
     fn trajectory_json_embeds_baselines_only_where_recorded() {

@@ -8,8 +8,6 @@
 //! (ADC/DAC transceiver, DAC array, laser coupling).  Per-device footprints
 //! that the paper does not specify are named calibration constants.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::units::SquareMillimeters;
 
 use crate::config::CrossLightConfig;
@@ -27,7 +25,7 @@ pub const ARM_OVERHEAD_MM2: f64 = 0.008;
 pub const UNIT_OVERHEAD_MM2: f64 = 0.09;
 
 /// Itemised area of an accelerator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorArea {
     /// Area of all MR banks.
     pub mr_banks: SquareMillimeters,

@@ -16,8 +16,6 @@
 
 use std::hash::Hash;
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_neural::fingerprint::fingerprint;
 use crosslight_photonics::mr::MrGeometry;
 use crosslight_photonics::units::{Micrometers, Nanometers};
@@ -41,9 +39,7 @@ pub const RESOLUTION_KEY_WORDS: usize = 9;
 pub const CONFIG_KEY_WORDS: usize = 15;
 
 /// Bit-exact projection of [`MrGeometry`] (all fields as `f64` bit patterns).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct GeometryKey {
     input_waveguide_width: u64,
     ring_waveguide_width: u64,
@@ -68,7 +64,7 @@ impl From<&MrGeometry> for GeometryKey {
 ///
 /// Construct with [`CrossLightConfig::canonical_key`].  Field order (and
 /// therefore hash and ordering) is part of the runtime cache contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigKey {
     conv_unit_size: usize,
     fc_unit_size: usize,
@@ -99,7 +95,7 @@ impl ConfigKey {
 /// index — each backend documents its own packing).  Everything a backend's
 /// report depends on must be folded into these words, so equal keys always
 /// mean bit-identical reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BackendKey {
     arch: u8,
     params: [u64; 4],
@@ -139,7 +135,7 @@ const BACKEND_DOMAIN: u64 = 0x6172_6368_7a6f_6f31;
 /// architecture zoo existed is preserved bit-for-bit.  Equality stays
 /// structural, so the (astronomically unlikely) cross-arm stream collision
 /// can only ever cost a hash-bucket probe, never a wrong cache hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ArchKey {
     /// A CrossLight configuration, keyed exactly as it always was.
     CrossLight(ConfigKey),
@@ -220,7 +216,7 @@ impl From<&DesignChoices> for GeometryKey {
 /// Bit-exact projection of [`DesignChoices`]: the sub-config identity shared
 /// by every model whose output depends only on the cross-layer design, not on
 /// the architecture dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DesignKey {
     geometry: GeometryKey,
     compensation: u8,
@@ -258,7 +254,7 @@ impl DesignChoices {
 /// `(N or K, design)` sub-configuration.
 ///
 /// [`VdpUnitReport`]: crate::vdp::VdpUnitReport
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VdpUnitKey {
     size: usize,
     mrs_per_bank: usize,
@@ -283,7 +279,7 @@ impl VdpUnit {
 /// strategy, the bank size and the unit sizes (which set the channel count
 /// without reuse).  A conservative superset of what the resolution model
 /// reads, so equal keys always mean equal resolutions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResolutionKey {
     geometry: GeometryKey,
     wavelength_reuse: u8,

@@ -9,8 +9,6 @@
 //! circuit, wavelength reuse) are captured by [`DesignChoices`], with the four
 //! paper variants provided by [`crate::variants`].
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::mr::MrGeometry;
 use crosslight_photonics::units::Micrometers;
 use crosslight_photonics::wdm::WavelengthReuse;
@@ -29,7 +27,7 @@ pub const BEST_CONFIG: (usize, usize, usize, usize) = (20, 150, 100, 60);
 
 /// Cross-layer design choices distinguishing the CrossLight variants and the
 /// baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignChoices {
     /// MR device design (optimized = FPV-resilient 400/800 nm widths).
     pub geometry: MrGeometry,
@@ -64,7 +62,7 @@ impl Default for DesignChoices {
 }
 
 /// Complete CrossLight accelerator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossLightConfig {
     /// Dot-product size supported by each CONV VDP unit (`N`).
     pub conv_unit_size: usize,

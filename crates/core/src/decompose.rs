@@ -7,13 +7,11 @@
 //! — that the decomposed computation equals the original dot product — is what
 //! the property tests in this module guard.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ArchitectureError, Result};
 
 /// Plan for executing one logical dot product of a given length on hardware
 /// that supports `chunk` elements at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecompositionPlan {
     /// Original dot-product length.
     pub length: usize,

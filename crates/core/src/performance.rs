@@ -18,8 +18,6 @@
 //! (CrossLight vs. DEAP-CNN vs. HolyLight, and across the four variants) are
 //! preserved; see `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_photonics::units::{Picojoules, Seconds, Watts};
 
@@ -34,7 +32,7 @@ use crate::vdp::VdpUnit;
 pub const LAYER_OVERHEAD_NS: f64 = 100.0;
 
 /// Per-inference latency breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceLatency {
     /// Time spent in the CONV VDP pool.
     pub conv_time: Seconds,
@@ -53,7 +51,7 @@ impl InferenceLatency {
 }
 
 /// The paper's headline efficiency metrics for one model on one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceMetrics {
     /// Latency breakdown.
     pub latency: InferenceLatency,

@@ -9,8 +9,6 @@
 //! control constants; they are collected here as named calibration constants
 //! and documented in `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::units::{MilliWatts, Watts};
 
 use crate::config::CrossLightConfig;
@@ -25,7 +23,7 @@ pub const CONTROL_BASE_MW: f64 = 2_000.0;
 pub const CONTROL_PER_UNIT_MW: f64 = 10.0;
 
 /// Itemised accelerator power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorPower {
     /// Total laser (light source) electrical power.
     pub laser: MilliWatts,

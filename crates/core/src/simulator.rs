@@ -4,8 +4,6 @@
 //! single report per (configuration, workload) pair, and provides the
 //! multi-model averaging the paper uses for Table III.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_photonics::units::{SquareMillimeters, Watts};
 
@@ -18,7 +16,7 @@ use crate::power::{accelerator_power, AcceleratorPower};
 use crate::resolution::achievable_resolution_bits;
 
 /// Full evaluation of one configuration on one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationReport {
     /// Power breakdown (workload independent — the accelerator is provisioned
     /// for its full configuration).
@@ -33,7 +31,7 @@ pub struct SimulationReport {
 
 /// Averages of the headline metrics over several workloads (how the paper
 /// reports Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AverageMetrics {
     /// Mean frames per second.
     pub fps: f64,
@@ -107,7 +105,7 @@ impl AverageMetrics {
 /// sweeps, the runtime's hot loop) should pay for them once.  Produced by
 /// [`CrossLightSimulator::prepare`]; [`PreparedSimulator::evaluate`] then
 /// only computes the per-workload inference metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedSimulator {
     config: CrossLightConfig,
     power: AcceleratorPower,
@@ -193,7 +191,7 @@ impl PreparedSimulator {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossLightSimulator {
     config: CrossLightConfig,
 }

@@ -12,8 +12,6 @@
 //! the Fig. 6 exploration) and the same EO value-imprinting datapath; they
 //! differ in how much power the device- and circuit-level choices cost.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::mr::MrGeometry;
 use crosslight_photonics::units::Micrometers;
 use crosslight_photonics::wdm::WavelengthReuse;
@@ -22,7 +20,7 @@ use crosslight_tuning::power::{CrosstalkCompensation, ValueTuning};
 use crate::config::{CrossLightConfig, DesignChoices, MR_SPACING_UM};
 
 /// The four CrossLight variants of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrossLightVariant {
     /// Conventional MR design, traditional thermo-optic compensation.
     Base,

@@ -12,8 +12,6 @@
 //! the per-pass latency, the per-unit optical/electrical power, and the loss
 //! budget that sets the laser power.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::devices::{
     eo_tuner_latency, photodetector, tia, to_tuner_latency, vcsel, Transceiver,
 };
@@ -34,7 +32,7 @@ const ADC_SAMPLE_BITS: f64 = 16.0;
 const ARM_ROUTING_UM: f64 = 200.0;
 
 /// A configured VDP unit of a given size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VdpUnit {
     /// Dot-product size the unit supports per pass.
     pub size: usize,
@@ -45,7 +43,7 @@ pub struct VdpUnit {
 }
 
 /// Per-unit derived quantities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VdpUnitReport {
     /// Number of parallel arms.
     pub arms: usize,

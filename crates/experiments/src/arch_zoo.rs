@@ -23,8 +23,6 @@
 //!   prepared simulator and zoo points through [`ArchSpec::simulate`], both
 //!   bit-identical to the serial path).
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_baselines::holylight::HolyLight;
 use crosslight_baselines::litecon::LiteCon;
 use crosslight_baselines::symmetric_crossbar::SymmetricCrossbar;
@@ -47,7 +45,7 @@ pub const DEFAULT_POWER_BUDGET_W: f64 = 25.0;
 
 /// One evaluated architecture of the cross-architecture sweep, averaged over
 /// the four Table I models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZooPoint {
     /// Human-readable label ([`ArchSpec::label`]).
     pub label: String,
@@ -73,7 +71,7 @@ pub struct ZooPoint {
 }
 
 /// The streaming summary of a cross-architecture sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZooFrontier {
     /// The `top_k` in-budget points by FPS/EPB, best first.
     pub top: Vec<ZooPoint>,

@@ -5,8 +5,6 @@
 //! FPV-induced resonance drift from ~7.1 nm to ~2.1 nm (a ~70% reduction),
 //! which directly lowers the thermo-optic power needed to compensate.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::fpv::{DriftStatistics, FpvModel, ProcessCorner};
 use crosslight_photonics::mr::MrGeometry;
 use crosslight_photonics::units::Nanometers;
@@ -16,7 +14,7 @@ use rand::SeedableRng;
 use crate::report::{fmt_f64, TextTable};
 
 /// One row of the device DSE: a candidate geometry and its drift statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceDseRow {
     /// Ring waveguide width of the candidate design (nm).
     pub ring_width_nm: f64,
@@ -31,7 +29,7 @@ pub struct DeviceDseRow {
 }
 
 /// Results of the device design-space exploration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceDseResult {
     /// One row per candidate geometry, ordered by ring width.
     pub rows: Vec<DeviceDseRow>,

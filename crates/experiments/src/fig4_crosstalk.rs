@@ -6,8 +6,6 @@
 //! tuning and (c) without TED — the three curves of the paper's Fig. 4.
 //! The TED curve has its minimum at the paper's 5 µm operating point.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::fpv::FpvModel;
 use crosslight_photonics::mr::MrGeometry;
 use crosslight_photonics::thermal::ThermalCrosstalkModel;
@@ -21,7 +19,7 @@ use crate::report::{fmt_f64, TextTable};
 pub const BLOCK_SIZE: usize = 10;
 
 /// One spacing point of the Fig. 4 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrosstalkRow {
     /// MR centre-to-centre spacing (µm).
     pub spacing_um: f64,
@@ -34,7 +32,7 @@ pub struct CrosstalkRow {
 }
 
 /// The full Fig. 4 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrosstalkSweep {
     /// One row per spacing.
     pub rows: Vec<CrosstalkRow>,

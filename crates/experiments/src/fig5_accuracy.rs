@@ -22,8 +22,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_neural::datasets::{generate_synthetic, Dataset};
 use crosslight_neural::quant::QuantConfig;
 use crosslight_neural::train::{evaluate, evaluate_quantized, train, TrainConfig};
@@ -35,7 +33,7 @@ use rand::SeedableRng;
 use crate::report::{fmt_f64, TextTable};
 
 /// Configuration of the accuracy-vs-resolution study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyStudyConfig {
     /// Bit widths to evaluate (the paper sweeps 1–16).
     pub bit_widths: Vec<u32>,
@@ -72,7 +70,7 @@ impl AccuracyStudyConfig {
 }
 
 /// Accuracy of one model across the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelAccuracyCurve {
     /// Which Table I model the curve belongs to.
     pub model: PaperModel,
@@ -96,7 +94,7 @@ impl ModelAccuracyCurve {
 }
 
 /// The full Fig. 5 result: one curve per Table I model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyStudy {
     /// One curve per model.
     pub curves: Vec<ModelAccuracyCurve>,

@@ -24,8 +24,6 @@
 //! * [`run_on`] fans the `candidates × models` grid through the runtime's
 //!   [`EvalService`].
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_core::cache::ModelCache;
 use crosslight_core::config::{CrossLightConfig, DesignChoices};
 use crosslight_core::error::Result as CoreResult;
@@ -41,7 +39,7 @@ use crate::report::{fmt_f64, TextTable};
 pub const AREA_CAP_MM2: f64 = 25.0;
 
 /// One evaluated configuration of the design-space sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// CONV unit size `N`.
     pub conv_unit_size: usize,
@@ -64,7 +62,7 @@ pub struct DesignPoint {
 }
 
 /// The full design-space sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpaceSweep {
     /// Every evaluated point.
     pub points: Vec<DesignPoint>,
@@ -329,7 +327,7 @@ fn dominates(a: &DesignPoint, b: &DesignPoint) -> bool {
 
 /// Streaming summary of a design-space sweep: everything the analysis needs
 /// without one [`DesignPoint`] per candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignFrontier {
     /// The `top_k` in-cap points by FPS/EPB, best first.
     pub top: Vec<DesignPoint>,

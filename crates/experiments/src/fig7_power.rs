@@ -8,8 +8,6 @@
 //! both photonic baselines and the CPU/GPU platforms, but more than the
 //! edge/mobile electronic accelerators.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_baselines::accelerator::{CrossLightAccelerator, PhotonicAccelerator};
 use crosslight_baselines::electronic::all_platforms;
 use crosslight_baselines::{DeapCnn, HolyLight};
@@ -21,7 +19,7 @@ use crate::report::{fmt_f64, TextTable};
 
 /// Whether a platform is photonic (simulated here) or an electronic literature
 /// reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlatformKind {
     /// A CrossLight variant.
     CrossLight,
@@ -32,7 +30,7 @@ pub enum PlatformKind {
 }
 
 /// One bar of the Fig. 7 power comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerRow {
     /// Platform name.
     pub name: String,
@@ -43,7 +41,7 @@ pub struct PowerRow {
 }
 
 /// The full Fig. 7 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerComparison {
     /// One row per platform, in the paper's plotting order.
     pub rows: Vec<PowerRow>,

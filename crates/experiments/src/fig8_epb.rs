@@ -6,8 +6,6 @@
 //! highest by orders of magnitude, and the average improvements over
 //! HolyLight / DEAP-CNN are of the same order as the paper's 9.5× / 1544×.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_baselines::accelerator::{CrossLightAccelerator, PhotonicAccelerator};
 use crosslight_baselines::{DeapCnn, HolyLight};
 use crosslight_core::variants::CrossLightVariant;
@@ -17,7 +15,7 @@ use crosslight_neural::zoo::PaperModel;
 use crate::report::{fmt_f64, TextTable};
 
 /// EPB of every photonic accelerator on one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpbRow {
     /// The Table I model.
     pub model: PaperModel,
@@ -34,7 +32,7 @@ impl EpbRow {
 }
 
 /// The full Fig. 8 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpbComparison {
     /// One row per Table I model.
     pub rows: Vec<EpbRow>,

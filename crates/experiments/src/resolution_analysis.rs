@@ -6,8 +6,6 @@
 //! a 15-MR bank still resolves 16 bits, whereas denser grids or lower-Q
 //! devices (the DEAP-CNN / HolyLight situations) fall to a few bits.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::crosstalk::bank_resolution_bits;
 use crosslight_photonics::microdisk::MICRODISK_RESOLUTION_BITS;
 use crosslight_photonics::mr::{CONVENTIONAL_Q_FACTOR, OPTIMIZED_FSR_NM, OPTIMIZED_Q_FACTOR};
@@ -16,7 +14,7 @@ use crosslight_photonics::units::Nanometers;
 use crate::report::TextTable;
 
 /// One row of the resolution sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolutionRow {
     /// MRs per bank.
     pub mrs_per_bank: usize,
@@ -28,7 +26,7 @@ pub struct ResolutionRow {
 }
 
 /// The resolution analysis result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolutionAnalysis {
     /// One row per bank size.
     pub rows: Vec<ResolutionRow>,

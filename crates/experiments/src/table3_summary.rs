@@ -5,8 +5,6 @@
 //! summary table, and computes the headline improvement factors of the
 //! conclusion (lower EPB and higher kFPS/W than HolyLight).
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_baselines::accelerator::{
     AcceleratorReport, CrossLightAccelerator, PhotonicAccelerator,
 };
@@ -21,7 +19,7 @@ use crosslight_runtime::pool::EvalService;
 use crate::report::{fmt_f64, TextTable};
 
 /// One row of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
     /// Platform name.
     pub name: String,
@@ -35,7 +33,7 @@ pub struct SummaryRow {
 }
 
 /// The full Table III reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummaryTable {
     /// All rows in the paper's order (electronic platforms first, then the
     /// photonic accelerators).

@@ -14,7 +14,6 @@
 //!   easiest.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{NeuralError, Result};
 use crate::tensor::Tensor;
@@ -61,7 +60,7 @@ impl Dataset {
 }
 
 /// Specification of a synthetic class-cluster dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticSpec {
     /// Number of channels of each image.
     pub channels: usize,

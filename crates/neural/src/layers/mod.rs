@@ -18,14 +18,12 @@ pub use dense::Dense;
 pub use flatten::Flatten;
 pub use pool::{AvgPool2d, MaxPool2d};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Result;
 use crate::tensor::Tensor;
 
 /// Categories of layers, used by the workload extractor to decide which
 /// accelerator sub-unit (CONV pool vs. FC pool vs. electronic) executes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// 2-D convolution — runs on the CONV VDP units.
     Convolution,
@@ -42,7 +40,7 @@ pub enum LayerKind {
 
 /// The vector-dot-product workload one layer contributes to an accelerator:
 /// `dot_count` dot products of `dot_length` elements each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DotProductWorkload {
     /// Length of each dot product.
     pub dot_length: usize,

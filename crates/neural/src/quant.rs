@@ -6,13 +6,11 @@
 //! quantizer used to reproduce that study: values are snapped to a uniform
 //! symmetric grid whose scale is the tensor's absolute maximum.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layers::fake_quantize_slice;
 use crate::tensor::Tensor;
 
 /// Weight/activation bit-width configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantConfig {
     /// Bits used for weights and biases.
     pub weight_bits: u32,

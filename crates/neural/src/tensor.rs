@@ -34,7 +34,6 @@
 //! runtime's bit-equivalence guarantees survive the performance rework.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{NeuralError, Result};
 
@@ -60,7 +59,7 @@ const BLOCK_K: usize = 64;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -659,7 +658,7 @@ fn transpose_a_matmul_kernel(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m:
 
 /// Parameters of an im2col transform (the conv → dot-product rewriting of
 /// paper Eqs. (1)–(3)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Im2colSpec {
     /// Input channel count.
     pub in_channels: usize,

@@ -4,8 +4,6 @@
 //! are trained on the synthetic datasets, their parameters are fake-quantized
 //! to 1–16 bits, and test accuracy is measured at each resolution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::datasets::Dataset;
 use crate::error::Result;
 use crate::metrics::{accuracy, cross_entropy_with_grad_into};
@@ -14,7 +12,7 @@ use crate::quant::QuantConfig;
 use crate::tensor::Tensor;
 
 /// Hyperparameters of the SGD training loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -35,7 +33,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Epoch index, starting at 0.
     pub epoch: usize,

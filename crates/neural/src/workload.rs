@@ -6,15 +6,13 @@
 //! (paper §IV.C).  A [`NetworkWorkload`] is the accelerator-facing summary of
 //! one model: the list of dot-product jobs per layer, split by kind.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Result;
 use crate::layers::{DotProductWorkload, LayerKind};
 use crate::model::Sequential;
 use crate::zoo::ModelSpec;
 
 /// The dot-product workload of one inference of one network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NetworkWorkload {
     /// Network name.
     pub name: String,

@@ -15,7 +15,6 @@
 //! (model 4 matches exactly).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::datasets::SyntheticSpec;
 use crate::error::{NeuralError, Result};
@@ -23,7 +22,7 @@ use crate::layers::{Conv2d, Dense, DotProductWorkload, Flatten, LayerKind, MaxPo
 use crate::model::Sequential;
 
 /// Structural description of one layer of a full-size model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerSpec {
     /// 2-D convolution with square kernel and stride 1 (valid padding).
     Conv {
@@ -53,7 +52,7 @@ pub enum LayerSpec {
 }
 
 /// Which of the paper's Table I models a spec describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperModel {
     /// Model 1: LeNet-5 on Sign-MNIST (60 k parameters).
     Lenet5SignMnist,
@@ -120,7 +119,7 @@ impl PaperModel {
 }
 
 /// A full-size model architecture, described structurally.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Human-readable name.
     pub name: String,

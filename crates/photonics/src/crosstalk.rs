@@ -15,14 +15,12 @@
 //! resolution (§V.B); DEAP-CNN reaches only 4 bits and HolyLight 2 bits per
 //! microdisk.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{PhotonicsError, Result};
 use crate::units::Nanometers;
 use crate::wdm::WdmGrid;
 
 /// Inter-channel crosstalk analysis for a bank of MRs on a shared bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelCrosstalkAnalysis {
     channels: Vec<Nanometers>,
     q_factor: f64,
@@ -162,7 +160,7 @@ impl ChannelCrosstalkAnalysis {
 /// aggregation methods reproduce the per-pair implementation bit for bit
 /// (same coefficients, same summation order); they only skip the repeated
 /// Lorentzian evaluations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CouplingMatrix {
     entries: Vec<f64>,
     n: usize,

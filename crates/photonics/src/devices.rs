@@ -8,12 +8,10 @@
 //! electronic control unit.  The latency and power numbers are those of the
 //! paper's Table II.
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{Dbm, GigaHertz, MilliWatts, Seconds};
 
 /// Latency and power of a single optoelectronic device instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     /// Time for the device to perform its operation once.
     pub latency: Seconds,
@@ -86,7 +84,7 @@ pub fn mzm() -> DeviceSpec {
 /// The accelerator uses one transceiver lane per VDP arm to convert partial
 /// sums; power is scaled linearly with the operating rate relative to the
 /// 56 Gb/s peak.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transceiver {
     /// Peak data rate supported by the transceiver.
     pub max_rate_gbps: f64,
@@ -135,7 +133,7 @@ impl Default for Transceiver {
 /// throughput sits in the multi-GHz range for the photodetection path while
 /// reprogramming dominates. This type simply carries the symbol rate used for
 /// energy-per-bit accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataRate {
     /// Symbol (sample) rate of the datapath.
     pub rate: GigaHertz,

@@ -18,7 +18,6 @@
 //! at the default process corner.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::mr::MrGeometry;
 use crate::units::Nanometers;
@@ -38,7 +37,7 @@ pub const OPTIMIZED_SENSITIVITY: f64 = 2.1 / 15.0;
 
 /// A fabrication process corner: the statistical distribution of geometry
 /// errors across a wafer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessCorner {
     /// Standard deviation of the waveguide-width error.
     pub width_sigma: Nanometers,
@@ -104,7 +103,7 @@ impl Default for ProcessCorner {
 /// // The optimized design is markedly less sensitive (paper: 7.1 → 2.1 nm).
 /// assert!(optimized.worst_case_drift().value() < 0.4 * conventional.worst_case_drift().value());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpvModel {
     geometry: MrGeometry,
     corner: ProcessCorner,
@@ -248,7 +247,7 @@ impl DriftWorkspace {
 }
 
 /// Summary statistics of a set of sampled resonance drifts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftStatistics {
     /// Number of samples.
     pub count: usize,

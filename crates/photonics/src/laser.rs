@@ -11,8 +11,6 @@
 //! The laser power therefore grows linearly (in dB) with the total loss and
 //! logarithmically with the number of wavelengths sharing the source.
 
-use serde::{Deserialize, Serialize};
-
 use crate::devices::photodetector_sensitivity;
 use crate::error::{PhotonicsError, Result};
 use crate::loss::LossBudget;
@@ -25,7 +23,7 @@ use crate::units::{Dbm, DecibelLoss, MilliWatts};
 pub const DEFAULT_WALL_PLUG_EFFICIENCY: f64 = 0.2;
 
 /// Laser power calculator implementing Eq. (7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserPowerModel {
     detector_sensitivity: Dbm,
     wall_plug_efficiency: f64,

@@ -10,12 +10,10 @@
 //! Eq. (7), so an architecture that forces light past many devices pays for it
 //! in laser power.
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{DecibelLoss, Micrometers};
 
 /// Per-component loss coefficients (paper §V.A values by default).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossModel {
     /// Waveguide propagation loss per centimetre.
     pub propagation_db_per_cm: f64,
@@ -78,7 +76,7 @@ impl Default for LossModel {
 /// budget.add_mr_modulation(1);
 /// assert!(budget.total().value() > 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossBudget {
     model: LossModel,
     propagation: DecibelLoss,
@@ -191,7 +189,7 @@ impl LossBudget {
 }
 
 /// Itemised loss contributions of a [`LossBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossBreakdown {
     /// Waveguide propagation loss.
     pub propagation: DecibelLoss,

@@ -8,8 +8,6 @@
 //! properties the baseline comparison needs: insertion loss, per-device
 //! resolution, footprint and tuning behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{DecibelLoss, Micrometers, Nanometers};
 
 /// Per-device insertion loss of a microdisk (paper Table II: 1.22 dB).
@@ -32,7 +30,7 @@ pub const MICRODISKS_PER_WEIGHT: usize = 8;
 /// // Eight 2-bit disks give HolyLight a combined 16-bit weight.
 /// assert_eq!(disk.resolution_bits() * 8, 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Microdisk {
     radius: Micrometers,
     resonance: Nanometers,
@@ -111,7 +109,7 @@ impl Default for Microdisk {
 
 /// A gang of microdisks combined to represent a single high-resolution weight,
 /// as HolyLight does (8 × 2-bit = 16-bit).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicrodiskGang {
     disk: Microdisk,
     count: usize,

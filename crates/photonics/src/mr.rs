@@ -8,8 +8,6 @@
 //! (Lorentzian through-port transmission, Q factor, FSR, extinction ratio) and
 //! the mapping between weight values and resonance detuning.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{PhotonicsError, Result};
 use crate::spectrum::{Lorentzian, SpectrumSummary};
 use crate::units::{DecibelLoss, Micrometers, Nanometers};
@@ -31,7 +29,7 @@ pub const CONVENTIONAL_FSR_NM: f64 = 18.0;
 /// Only the parameters that matter to the paper's analysis are captured: the
 /// input (bus) and ring waveguide widths — which drive FPV resilience — plus
 /// the ring radius and coupling gap that set the footprint and FSR.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MrGeometry {
     /// Width of the input (bus) waveguide.
     pub input_waveguide_width: Nanometers,
@@ -96,7 +94,7 @@ impl Default for MrGeometry {
 }
 
 /// Spectral design parameters of an MR, independent of its geometry details.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MrSpectral {
     /// Loaded quality factor.
     pub q_factor: f64,
@@ -150,7 +148,7 @@ impl MrSpectral {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Microring {
     geometry: MrGeometry,
     spectral: MrSpectral,
@@ -301,7 +299,7 @@ impl Microring {
 
 /// A bank (group) of MRs sharing one bus waveguide, each tuned to a distinct
 /// WDM channel (paper §III, Fig. 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrBank {
     rings: Vec<Microring>,
     spacing: Micrometers,

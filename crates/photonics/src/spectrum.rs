@@ -6,8 +6,6 @@
 //! neighbouring WDM channel, which is the root of inter-channel crosstalk
 //! (Eq. (8) of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Nanometers;
 
 /// A Lorentzian lineshape parameterised by its centre and half-width.
@@ -29,7 +27,7 @@ use crate::units::Nanometers;
 /// let hwhm = line.half_width();
 /// assert!((line.response(Nanometers::new(1550.0) + hwhm) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lorentzian {
     center: Nanometers,
     half_width: Nanometers,
@@ -126,7 +124,7 @@ impl Lorentzian {
 }
 
 /// Characteristics of a resonator's through-port spectrum (paper Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectrumSummary {
     /// Resonant (centre) wavelength.
     pub resonance: Nanometers,

@@ -17,8 +17,6 @@
 //! exactly the object the TED tuning method (crate `crosslight-tuning`)
 //! diagonalises to cancel crosstalk collectively.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{PhotonicsError, Result};
 use crate::units::{Micrometers, Radians};
 
@@ -47,7 +45,7 @@ pub const NAIVE_SAFE_SPACING_UM: f64 = 120.0;
 /// let far = model.phase_crosstalk_ratio(Micrometers::new(20.0));
 /// assert!(near > 0.5 && far < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalCrosstalkModel {
     decay_length: Micrometers,
 }
@@ -127,7 +125,7 @@ impl Default for ThermalCrosstalkModel {
 }
 
 /// Symmetric matrix of pairwise phase-crosstalk ratios within an MR bank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrosstalkMatrix {
     size: usize,
     data: Vec<f64>,
@@ -228,7 +226,7 @@ impl CrosstalkMatrix {
 
 /// A thermo-optic microheater characterisation: how much heater power produces
 /// how much phase shift / resonance shift.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Microheater {
     /// Electrical power required to shift the resonance by one full FSR
     /// (equivalently, to produce a 2π phase shift).  Paper Table II:

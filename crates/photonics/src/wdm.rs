@@ -5,8 +5,6 @@
 //! MRs that weight them, and the channel spacing directly controls
 //! inter-channel crosstalk and therefore the achievable resolution (§V.B).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{PhotonicsError, Result};
 use crate::units::Nanometers;
 
@@ -30,7 +28,7 @@ pub const C_BAND_CENTER_NM: f64 = 1550.0;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WdmGrid {
     first: Nanometers,
     spacing: Nanometers,
@@ -183,7 +181,7 @@ impl<'a> IntoIterator for &'a WdmGrid {
 /// CrossLight reuses the same wavelengths across VDP arms (§IV.C.3), so its
 /// laser count equals the per-arm channel count; accelerators without reuse
 /// need one laser per vector element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WavelengthReuse {
     /// Each vector element gets its own dedicated wavelength (prior work).
     PerElement,

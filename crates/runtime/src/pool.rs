@@ -47,9 +47,9 @@ pub struct RuntimeOptions {
     /// Number of independent cache shards (clamped to at least 1).
     pub cache_shards: usize,
     /// Trace every `n`-th batch-submitted request's phase timeline
-    /// (`0` disables sampling, `1` traces everything).  Detached
-    /// submissions via `submit_traced` carry their own traces and ignore
-    /// this knob.
+    /// (`0` disables sampling, `1` traces everything).  Detached batch
+    /// items carry their own traces (`BatchItem::trace`) and ignore this
+    /// knob.
     pub trace_sample_every: u64,
 }
 
@@ -93,7 +93,7 @@ impl Default for RuntimeOptions {
 /// Point-in-time snapshot of the service counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Requests accepted by `submit`/`submit_batch`/`submit_detached`.
+    /// Requests accepted by `submit`/`submit_batch`/`submit_detached_batch`.
     pub submitted: u64,
     /// Requests fully answered.
     pub completed: u64,
@@ -176,6 +176,32 @@ struct Job {
     cancel: Option<CancelToken>,
 }
 
+impl Job {
+    /// The one way a job is built: a carried trace's queue-wait span
+    /// starts here.
+    fn new(
+        tag: u64,
+        request: EvalRequest,
+        reply: &Sender<(u64, Result<EvalResponse>)>,
+        trace: Option<Box<RequestTrace>>,
+        cancel: Option<CancelToken>,
+    ) -> Self {
+        Self {
+            tag,
+            key: request.key(),
+            request,
+            reply: reply.clone(),
+            trace: trace.map(|trace| {
+                Box::new(TracedJob {
+                    trace: *trace,
+                    enqueued: Instant::now(),
+                })
+            }),
+            cancel,
+        }
+    }
+}
+
 /// What travels down a worker's channel: either a single job or a whole
 /// same-worker group from [`EvalService::submit_detached_batch`].  Grouping
 /// amortizes the channel synchronization over the group — one send wakes the
@@ -194,8 +220,9 @@ pub struct BatchItem {
     pub tag: u64,
     /// The evaluation to run.
     pub request: EvalRequest,
-    /// Caller-built trace; workers close queue/cache/prepare/evaluate spans
-    /// on it exactly as for [`EvalService::submit_traced`].
+    /// Caller-built trace: workers close the queue-wait, cache-lookup,
+    /// prepare and evaluate spans on it (also feeding the runtime phase
+    /// histograms) and hand it back on the response's `trace` field.
     pub trace: Option<Box<RequestTrace>>,
     /// Advisory cancellation token, checked once at pickup.
     pub cancel: Option<CancelToken>,
@@ -290,7 +317,7 @@ impl Telemetry {
         Self {
             submitted: registry.counter(
                 "runtime_submitted_total",
-                "Requests accepted by submit, submit_batch or submit_detached.",
+                "Requests accepted by submit, submit_batch or submit_detached_batch.",
             ),
             completed: registry.counter("runtime_completed_total", "Requests fully answered."),
             cancelled: registry.counter(
@@ -487,7 +514,7 @@ impl EvalService {
                 self.telemetry.traces_sampled.inc();
                 Box::new(RequestTrace::new(request.id))
             });
-            self.dispatch(index as u64, request, &reply_tx, trace, None)?;
+            self.dispatch(index as u64, request, &reply_tx, trace)?;
         }
         drop(reply_tx);
 
@@ -514,92 +541,15 @@ impl EvalService {
         Ok(responses)
     }
 
-    /// Routes one request to its fingerprint-sharded worker without waiting
-    /// for the answer: the worker will eventually send `(tag, outcome)` on
-    /// `reply`.  This is the queue hook behind the network front-end
-    /// (`crosslight-server`), which keeps many requests in flight per
-    /// connection and correlates completions by tag; [`EvalService::submit_batch`]
-    /// is a thin collector over the same path, so detached and batched
-    /// submissions share routing, caching and counters exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::WorkerLost`] if the target worker's channel is closed
-    /// (the pool is shutting down or the worker panicked).  On error the
-    /// request was not enqueued and no reply will arrive.
-    pub fn submit_detached(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, None, None)
-    }
-
-    /// Like [`EvalService::submit_detached`], but the job carries a
-    /// [`CancelToken`]: if the token is cancelled before a worker picks the
-    /// job up, the job is answered with [`RuntimeError::Cancelled`] instead
-    /// of being evaluated.  The front-end uses one token per connection so
-    /// queued work for a dead peer is skipped, and the cluster router's
-    /// failover path uses it to abandon re-routed duplicates.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalService::submit_detached`].
-    pub fn submit_cancellable(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        cancel: CancelToken,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, None, Some(cancel))
-    }
-
-    /// Like [`EvalService::submit_detached`], but the request carries a
-    /// caller-built [`RequestTrace`]: the workers close queue-wait,
-    /// cache-lookup, prepare and evaluate spans on it (also feeding the
-    /// runtime phase histograms) and hand it back on the response's
-    /// `trace` field.  This is the hook the network front-end uses to time
-    /// requests end to end across both processes' thread hops.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalService::submit_detached`]; on error the trace is dropped.
-    pub fn submit_traced(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        trace: Box<RequestTrace>,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, Some(trace), None)
-    }
-
-    /// [`EvalService::submit_traced`] with a [`CancelToken`] attached (see
-    /// [`EvalService::submit_cancellable`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalService::submit_detached`]; on error the trace is dropped.
-    pub fn submit_traced_cancellable(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        trace: Box<RequestTrace>,
-        cancel: CancelToken,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, Some(trace), Some(cancel))
-    }
-
-    /// Routes a whole batch of detached requests at once, grouping the jobs
-    /// by their fingerprint-sharded target worker so each worker is woken by
-    /// a *single* channel send per batch instead of one per request.  This
-    /// is the dispatch path behind the server's cross-connection
-    /// micro-batcher: routing, caching, tracing and counters are identical
-    /// to per-request [`EvalService::submit_detached`], so responses stay
-    /// bit-identical for any batch partitioning.
+    /// Routes a whole batch of requests without waiting for the answers,
+    /// grouping the jobs by their fingerprint-sharded target worker so each
+    /// worker is woken by a *single* channel send per batch instead of one
+    /// per request.  This is the queue hook behind the network front-end's
+    /// cross-connection micro-batcher, which keeps many requests in flight
+    /// and correlates completions by tag.  Routing, caching, tracing and
+    /// counters are identical to [`EvalService::submit_batch`], so responses
+    /// stay bit-identical for any batch partitioning.  Each item may carry a
+    /// caller-built trace and a [`CancelToken`] (see [`BatchItem`]).
     ///
     /// Every item is answered exactly once on `reply`: by its worker, or —
     /// when the pool is shut down or a worker died — immediately here with
@@ -622,21 +572,8 @@ impl EvalService {
         let workers = self.senders.len();
         let mut groups: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
         for item in items {
-            let key = item.request.key();
-            let worker = (key.fingerprint() % workers as u64) as usize;
-            groups[worker].push(Job {
-                tag: item.tag,
-                key,
-                request: item.request,
-                reply: reply.clone(),
-                trace: item.trace.map(|trace| {
-                    Box::new(TracedJob {
-                        trace: *trace,
-                        enqueued: Instant::now(),
-                    })
-                }),
-                cancel: item.cancel,
-            });
+            let job = Job::new(item.tag, item.request, reply, item.trace, item.cancel);
+            groups[(job.key.fingerprint() % workers as u64) as usize].push(job);
         }
         let mut enqueued = 0;
         for (worker, mut group) in groups.into_iter().enumerate() {
@@ -672,34 +609,29 @@ impl EvalService {
         enqueued
     }
 
+    /// Routes one job to its fingerprint-sharded worker with its own send,
+    /// so [`EvalService::submit_batch`]'s workers start on the first job
+    /// while the rest are still being routed.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::WorkerLost`] if the target worker's channel is closed
+    /// (the pool is shutting down or the worker panicked).  On error the
+    /// request was not enqueued and no reply will arrive.
     fn dispatch(
         &self,
         tag: u64,
         request: EvalRequest,
         reply: &Sender<(u64, Result<EvalResponse>)>,
         trace: Option<Box<RequestTrace>>,
-        cancel: Option<CancelToken>,
     ) -> Result<()> {
         if self.senders.is_empty() {
             // The pool has been shut down in place; there is no worker to
             // route to.
             return Err(RuntimeError::WorkerLost);
         }
-        let key = request.key();
-        let worker = (key.fingerprint() % self.senders.len() as u64) as usize;
-        let job = Job {
-            tag,
-            key,
-            request,
-            reply: reply.clone(),
-            trace: trace.map(|trace| {
-                Box::new(TracedJob {
-                    trace: *trace,
-                    enqueued: Instant::now(),
-                })
-            }),
-            cancel,
-        };
+        let job = Job::new(tag, request, reply, trace, None);
+        let worker = (job.key.fingerprint() % self.senders.len() as u64) as usize;
         self.telemetry.submitted.inc();
         self.telemetry.queued[worker].add(1);
         self.senders[worker]
@@ -1070,11 +1002,17 @@ mod tests {
             })
             .collect();
         let (reply_tx, reply_rx) = mpsc::channel();
-        for (i, request) in requests.into_iter().enumerate() {
-            service
-                .submit_detached(1_000 + i as u64, request, &reply_tx)
-                .unwrap();
-        }
+        let items: Vec<BatchItem> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, request)| BatchItem {
+                tag: 1_000 + i as u64,
+                request,
+                trace: None,
+                cancel: None,
+            })
+            .collect();
+        assert_eq!(service.submit_detached_batch(items, &reply_tx), 16);
         drop(reply_tx);
         let mut answered = 0;
         while let Ok((tag, outcome)) = reply_rx.recv() {
@@ -1175,12 +1113,10 @@ mod tests {
         service.shutdown_in_place();
         let workload =
             Arc::new(NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap());
-        let (reply_tx, _reply_rx) = mpsc::channel();
-        let err = service.submit_detached(
-            0,
-            EvalRequest::new(CrossLightConfig::paper_best(), workload),
-            &reply_tx,
-        );
+        let err = service.submit_batch(vec![EvalRequest::new(
+            CrossLightConfig::paper_best(),
+            workload,
+        )]);
         assert_eq!(err, Err(RuntimeError::WorkerLost));
         let stats = service.stats();
         assert_eq!(stats.submitted, 0);
@@ -1317,16 +1253,23 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         assert!(cancelled.is_cancelled());
-        for tag in 0..4 {
-            service
-                .submit_cancellable(tag, request.clone(), &reply_tx, cancelled.clone())
-                .unwrap();
-        }
+        let mut items: Vec<BatchItem> = (0..4)
+            .map(|tag| BatchItem {
+                tag,
+                request: request.clone(),
+                trace: None,
+                cancel: Some(cancelled.clone()),
+            })
+            .collect();
         // A live token evaluates normally.
         let live = CancelToken::new();
-        service
-            .submit_cancellable(99, request.clone(), &reply_tx, live.clone())
-            .unwrap();
+        items.push(BatchItem {
+            tag: 99,
+            request,
+            trace: None,
+            cancel: Some(live.clone()),
+        });
+        assert_eq!(service.submit_detached_batch(items, &reply_tx), 5);
         drop(reply_tx);
 
         let mut cancelled_seen = 0;

@@ -24,9 +24,9 @@
 //!   shedding, a `stats` endpoint exposing [`RuntimeStats`] plus queue
 //!   depths and shed counts, and graceful drain-on-shutdown.
 //! * [`loadgen`] — the reference [`Client`], a deterministic seeded
-//!   multi-connection load generator behind `examples/serve.rs`,
-//!   `bench_server` and the stress tests, and a poll-driven connection
-//!   swarm for ten-thousand-connection stress runs.
+//!   multi-connection load generator behind `examples/serve.rs`, the
+//!   `perfbench/` serving benchmark and the stress tests, and a
+//!   poll-driven connection swarm for ten-thousand-connection stress runs.
 //!
 //! See the **Serving** section of `RUNTIME.md` at the repository root for
 //! the protocol specification and an example transcript.

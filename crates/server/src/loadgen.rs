@@ -5,7 +5,7 @@
 //! pipelined JSON-lines frames, typed decoding.  [`run`] fans a
 //! deterministic scenario mix over `clients` concurrent connections and
 //! aggregates a [`LoadReport`] — the tool behind `examples/serve.rs`, the
-//! `bench_server` trajectory bin, and the stress tests, so every
+//! `perfbench/` serving benchmark, and the stress tests, so every
 //! throughput/shedding claim is produced by the same code path.
 //! [`connect_swarm`]/[`Swarm`] multiplex thousands of connections over
 //! `poll(2)` on a single thread — the client side of the

@@ -14,7 +14,7 @@
 //! the loop; admitted `eval` frames flow to one **micro-batcher** thread
 //! that coalesces evals *across connections* into
 //! [`EvalService::submit_detached_batch`] windows (flushing at `batch_max`
-//! frames, after `batch_window`, or as soon as every admitted eval in the
+//! frames, after a 100 µs window, or as soon as every admitted eval in the
 //! server is already in the batch — whichever comes first, so an
 //! unsaturated server adds no latency).  One **responder** thread receives
 //! tagged completions from the pool, encodes them, requeues them on their
@@ -104,12 +104,13 @@ pub struct ServerOptions {
     /// Most admitted evals coalesced into one pool submission (clamped to
     /// at least 1).  `1` disables micro-batching.
     pub batch_max: usize,
-    /// Longest an admitted eval may wait for company before its batch is
-    /// flushed anyway.  The batcher also flushes early the moment every
-    /// admitted eval in the server is already in the batch, so a single
-    /// un-pipelined client never waits this long.
-    pub batch_window: Duration,
 }
+
+/// Longest an admitted eval may wait for company before its micro-batch is
+/// flushed anyway.  The batcher also flushes early the moment every
+/// admitted eval in the server is already in the batch, so a single
+/// un-pipelined client never waits this long.
+const BATCH_WINDOW: Duration = Duration::from_micros(100);
 
 impl ServerOptions {
     /// Returns a copy with a different evaluation worker count.
@@ -162,20 +163,12 @@ impl ServerOptions {
         self.batch_max = batch_max;
         self
     }
-
-    /// Returns a copy with a different micro-batch coalescing window.
-    #[must_use]
-    pub fn with_batch_window(mut self, batch_window: Duration) -> Self {
-        self.batch_window = batch_window;
-        self
-    }
 }
 
 impl Default for ServerOptions {
     /// Default runtime options, 256 admitted evals, 64 KiB lines, 30 s
     /// write-stall bound, every request traced, half the cores (at most 4)
-    /// as event loops, micro-batches of up to 64 evals coalesced for at
-    /// most 100 µs.
+    /// as event loops, micro-batches of up to 64 evals.
     fn default() -> Self {
         let runtime = RuntimeOptions::default();
         let event_loops =
@@ -189,7 +182,6 @@ impl Default for ServerOptions {
             trace_sample_every: 1,
             event_loops,
             batch_max: 64,
-            batch_window: Duration::from_micros(100),
         }
     }
 }
@@ -1656,18 +1648,17 @@ fn handle_line_event(
 
 /// The micro-batcher: coalesces admitted evals from every connection into
 /// one [`EvalService::submit_detached_batch`] call per window.  A batch
-/// flushes at `batch_max` evals, when `batch_window` elapses, or — the
+/// flushes at `batch_max` evals, when [`BATCH_WINDOW`] elapses, or — the
 /// adaptive fast path — the moment every eval admitted so far is already
 /// in the batch (`unbatched` is incremented *before* the send to this
 /// thread, so reading it as 0 here proves nobody else is coming and
 /// waiting out the window would be pure added latency).
 fn batch_loop(shared: &Shared, requests: &Receiver<BatchRequest>, reply: &Sender<Completion>) {
     let batch_max = shared.options.batch_max.max(1);
-    let window = shared.options.batch_window;
     while let Ok(first) = requests.recv() {
         shared.unbatched.fetch_sub(1, Ordering::AcqRel);
         let mut batch = vec![first];
-        let deadline = Instant::now() + window;
+        let deadline = Instant::now() + BATCH_WINDOW;
         loop {
             while batch.len() < batch_max {
                 match requests.try_recv() {

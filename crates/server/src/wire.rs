@@ -46,8 +46,6 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_baselines::holylight::HOLYLIGHT_UNITS;
 use crosslight_baselines::litecon::{
     LITECON_DEFAULT_BITS, LITECON_DEFAULT_UNITS, LITECON_DEFAULT_UNIT_SIZE,
@@ -97,7 +95,7 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
 pub const SNAPSHOT_SCHEMA: &str = "crosslight-snapshot/v1";
 
 /// The typed error kinds of the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// The line was not a valid frame (bad JSON, missing/ill-typed fields,
     /// unknown op, unknown variant/model name).
@@ -175,7 +173,7 @@ impl ErrorKind {
 }
 
 /// A typed error frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorFrame {
     /// What went wrong, as a closed enum clients can switch on.
     pub kind: ErrorKind,
@@ -209,7 +207,7 @@ impl From<JsonError> for ErrorFrame {
 }
 
 /// How a request names its workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadRef {
     /// One of the four Table I models, by
     /// [`PaperModel::wire_name`](crosslight_neural::zoo::PaperModel::wire_name).
@@ -223,7 +221,7 @@ pub enum WorkloadRef {
 /// happens at decode time; numeric validation is deferred to
 /// [`ArchRequest::to_arch_spec`], so a well-formed frame for an invalid
 /// design point gets a typed `evaluation` error, not a decode failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArchRequest {
     /// A CrossLight design point (the only architecture of protocol
     /// version 1's original vocabulary; encoded without an `"arch"` field
@@ -345,7 +343,7 @@ impl ArchRequest {
 /// The scenario named by one `eval` request: an architecture (CrossLight
 /// design point or any zoo backend) applied to a workload — the same axes
 /// the [`SweepPlanner`](crosslight_runtime::SweepPlanner) expands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalSpec {
     /// The architecture to evaluate.
     pub arch: ArchRequest,
@@ -436,7 +434,7 @@ impl EvalSpec {
 }
 
 /// One request frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Caller-chosen correlation id, echoed on the response.
     pub id: u64,
@@ -445,7 +443,7 @@ pub struct Request {
 }
 
 /// The operations of the protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
     /// Evaluate one scenario.
     Eval(EvalSpec),
@@ -481,7 +479,7 @@ pub enum RequestBody {
 }
 
 /// The payload shape of one `metrics` scrape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsFormat {
     /// Structured JSON snapshot (the default when `format` is absent).
     #[default]
@@ -516,7 +514,7 @@ impl MetricsFormat {
 }
 
 /// Server-side counters exposed by the `stats` endpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireServerStats {
     /// Connections accepted since startup.
     pub connections_accepted: u64,
@@ -542,7 +540,7 @@ pub struct WireServerStats {
 
 /// Runtime counters as transmitted by the `stats` endpoint (a lossless wire
 /// view of [`RuntimeStats`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRuntimeStats {
     /// See [`RuntimeStats::submitted`].
     pub submitted: u64,
@@ -578,7 +576,7 @@ impl From<&RuntimeStats> for WireRuntimeStats {
 }
 
 /// The payload of a successful `stats` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsFrame {
     /// Front-end counters.
     pub server: WireServerStats,
@@ -590,7 +588,7 @@ pub struct StatsFrame {
 /// `(inclusive upper bound, occupancy)` pairs plus the scalar moments —
 /// exactly what [`HistogramSnapshot::le_buckets`] produces, so decoded
 /// snapshots rebuild losslessly via [`HistogramSnapshot::from_le_buckets`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireHistogram {
     /// Total recorded observations.
     pub count: u64,
@@ -625,7 +623,7 @@ impl WireHistogram {
 }
 
 /// One series value in wire form, interpreted by the family's kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireMetricValue {
     /// A counter reading.
     Counter(u64),
@@ -636,7 +634,7 @@ pub enum WireMetricValue {
 }
 
 /// One `(labels, value)` series of a family in wire form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireMetricSeries {
     /// Label key/value pairs in registration order.
     pub labels: Vec<(String, String)>,
@@ -645,7 +643,7 @@ pub struct WireMetricSeries {
 }
 
 /// One metric family in wire form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireMetricFamily {
     /// Family name (e.g. `server_request_ns`).
     pub name: String,
@@ -659,7 +657,7 @@ pub struct WireMetricFamily {
 
 /// The structured payload of a `metrics` scrape in `json` format: a
 /// lossless wire view of a (merged) [`RegistrySnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireMetricsSnapshot {
     /// Always [`METRICS_SCHEMA`] for this protocol version.
     pub schema: String,
@@ -732,7 +730,7 @@ impl WireMetricsSnapshot {
 }
 
 /// The payload of a successful `metrics` response, by requested format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricsFrame {
     /// Structured snapshot (`json` format).
     Snapshot(WireMetricsSnapshot),
@@ -743,7 +741,7 @@ pub enum MetricsFrame {
 }
 
 /// The payload of a successful `eval` response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalFrame {
     /// The simulation result, bit-identical to in-process evaluation.
     pub report: SimulationReport,
@@ -812,7 +810,7 @@ pub struct RestoredFrame {
 }
 
 /// One response frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Correlation id, when the request's id could be parsed.
     pub id: Option<u64>,
@@ -821,7 +819,7 @@ pub struct Response {
 }
 
 /// The response payloads of the protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// A completed evaluation.
     Eval(EvalFrame),

@@ -6,8 +6,6 @@
 //! method is more than adequate and avoids pulling a linear-algebra
 //! dependency into the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TuningError};
 
 /// Maximum number of Jacobi sweeps before giving up.
@@ -17,7 +15,7 @@ const MAX_SWEEPS: usize = 100;
 const CONVERGENCE_EPS: f64 = 1e-12;
 
 /// A dense symmetric matrix stored in row-major order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymmetricMatrix {
     size: usize,
     data: Vec<f64>,
@@ -147,7 +145,7 @@ impl SymmetricMatrix {
 }
 
 /// Result of an eigen-decomposition: `matrix = V · diag(λ) · Vᵀ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EigenDecomposition {
     /// Eigenvalues, sorted in descending order.
     pub eigenvalues: Vec<f64>,

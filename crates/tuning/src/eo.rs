@@ -6,8 +6,6 @@
 //! values on an already-calibrated MR, not enough to compensate multi-nm FPV
 //! or thermal drifts.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::units::{MilliWatts, Nanometers, Seconds};
 
 use crate::error::{Result, TuningError};
@@ -20,7 +18,7 @@ use crate::error::{Result, TuningError};
 pub const DEFAULT_EO_RANGE_NM: f64 = 0.5;
 
 /// An electro-optic tuner attached to one MR.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EoTuner {
     /// Power drawn per nanometre of resonance shift (Table II: 4 µW/nm).
     pub power_per_nm: MilliWatts,

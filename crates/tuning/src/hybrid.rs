@@ -5,8 +5,6 @@
 //! FPV compensation at boot, rare large temperature excursions) and fast,
 //! frugal electro-optic tuning for everything in the per-value inner loop.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::units::{MilliWatts, Nanometers, Seconds};
 
 use crate::eo::EoTuner;
@@ -14,7 +12,7 @@ use crate::error::{Result, TuningError};
 use crate::to::ToTuner;
 
 /// Which physical mechanism a planned tuning action uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TuningMechanism {
     /// Electro-optic carrier tuning (fast, tiny power, small range).
     ElectroOptic,
@@ -24,7 +22,7 @@ pub enum TuningMechanism {
 
 /// A planned tuning action for one MR: the mechanism chosen, the power it
 /// will hold, and the latency before the ring settles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningPlan {
     /// Mechanism selected by the policy.
     pub mechanism: TuningMechanism,
@@ -57,7 +55,7 @@ impl TuningPlan {
 /// assert!(plan.is_electro_optic());
 /// assert!(plan.latency.to_nanos() < 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridTuner {
     eo: EoTuner,
     to: ToTuner,

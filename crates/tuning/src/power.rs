@@ -15,8 +15,6 @@
 //! [`thermal`](crosslight_photonics::thermal), [`ted`](crate::ted),
 //! [`eo`](crate::eo) and [`to`](crate::to) models into that single figure.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::fpv::FpvModel;
 use crosslight_photonics::mr::MrGeometry;
 use crosslight_photonics::thermal::ThermalCrosstalkModel;
@@ -36,7 +34,7 @@ use crate::to::ToTuner;
 pub const MEAN_VALUE_SHIFT_NM: f64 = 0.1;
 
 /// Which circuit imprints values (weights/activations) onto the MRs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueTuning {
     /// Fast electro-optic imprinting (CrossLight's hybrid circuit).
     ElectroOptic,
@@ -45,7 +43,7 @@ pub enum ValueTuning {
 }
 
 /// Whether thermal-crosstalk compensation uses TED collective tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrosstalkCompensation {
     /// Collective Thermal Eigenmode Decomposition.
     Ted,
@@ -54,7 +52,7 @@ pub enum CrosstalkCompensation {
 }
 
 /// Configuration of the tuning power estimate for one MR bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankTuningConfig {
     /// Number of MRs in the bank.
     pub mr_count: usize,
@@ -84,7 +82,7 @@ impl BankTuningConfig {
 }
 
 /// Itemised tuning power of one MR bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankTuningPower {
     /// Power spent holding the one-time FPV compensation (TO heaters).
     pub fpv_compensation: MilliWatts,

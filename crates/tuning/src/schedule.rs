@@ -16,8 +16,6 @@
 //! simulator can charge the right latency to the right phase (boot-time work
 //! never appears in the per-inference latency).
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::units::{Nanometers, Seconds};
 
 use crate::hybrid::HybridTuner;
@@ -28,7 +26,7 @@ use crate::hybrid::HybridTuner;
 pub const RECALIBRATION_THRESHOLD_NM: f64 = 0.4;
 
 /// Phases of the tuning lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TuningPhase {
     /// The accelerator has not been calibrated yet.
     Uncalibrated,
@@ -38,7 +36,7 @@ pub enum TuningPhase {
 }
 
 /// A record of one calibration or recalibration event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationEvent {
     /// Drift magnitude that was compensated.
     pub compensated_shift: Nanometers,
@@ -47,7 +45,7 @@ pub struct CalibrationEvent {
 }
 
 /// The tuning lifecycle state machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningSchedule {
     tuner: HybridTuner,
     phase: TuningPhase,

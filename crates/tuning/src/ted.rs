@@ -24,8 +24,6 @@
 //! additionally burn power to counteract the uncorrected neighbour leakage,
 //! which is why the dotted "without TED" line in Fig. 4 sits notably higher.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::thermal::{CrosstalkMatrix, Microheater};
 use crosslight_photonics::units::{MilliWatts, Radians};
 
@@ -38,7 +36,7 @@ use crate::error::{Result, TuningError};
 const EIGENVALUE_FLOOR: f64 = 1e-6;
 
 /// A TED solver for one MR bank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TedSolver {
     matrix: SymmetricMatrix,
     decomposition: EigenDecomposition,
@@ -46,7 +44,7 @@ pub struct TedSolver {
 }
 
 /// The heater settings TED computes for a bank, plus their power cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TedSolution {
     /// Phase applied by each heater (all non-negative).
     pub heater_phases: Vec<Radians>,

@@ -6,15 +6,13 @@
 //! and settles in ~4 µs (Table II), which is why the paper avoids using it in
 //! the per-value inner loop.
 
-use serde::{Deserialize, Serialize};
-
 use crosslight_photonics::thermal::Microheater;
 use crosslight_photonics::units::{MilliWatts, Nanometers, Radians, Seconds};
 
 use crate::error::{Result, TuningError};
 
 /// A thermo-optic tuner attached to one MR.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ToTuner {
     heater: Microheater,
     /// Free spectral range of the tuned MR — one FSR of shift costs the full

@@ -772,9 +772,9 @@ fn micro_batching_is_bit_identical_across_batch_settings() {
     use std::io::{BufRead as _, BufReader, Write as _};
 
     // The same pipelined request sequence against a batch-of-one server
-    // and a wide-window batching server must produce byte-for-byte the
-    // same response lines (as a multiset — completion order may differ):
-    // batching is a scheduling optimization, never a semantic one.
+    // and a batching server must produce byte-for-byte the same response
+    // lines (as a multiset — completion order may differ): batching is a
+    // scheduling optimization, never a semantic one.
     let specs: Vec<EvalSpec> = (0..48)
         .map(|i| EvalSpec::paper(CrossLightVariant::all()[i % 4], PaperModel::all()[i % 4]))
         .collect();
@@ -788,14 +788,13 @@ fn micro_batching_is_bit_identical_across_batch_settings() {
     }
 
     let mut transcripts: Vec<Vec<String>> = Vec::new();
-    for (batch_max, window) in [(1usize, 50u64), (64, 300)] {
+    for batch_max in [1, 64] {
         let server = Server::bind(
             "127.0.0.1:0",
             ServerOptions::default()
                 .with_workers(2)
                 .with_queue_capacity(1_000)
-                .with_batch_max(batch_max)
-                .with_batch_window(std::time::Duration::from_micros(window)),
+                .with_batch_max(batch_max),
         )
         .expect("bind loopback server");
         let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
