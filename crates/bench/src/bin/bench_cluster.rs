@@ -147,14 +147,11 @@ fn failover_recovery_samples(
 
     let [keeper, victim] = [bind_backend(), bind_backend()];
     let addrs = [keeper.local_addr(), victim.local_addr()];
-    // One connection per backend keeps the post-recovery redial cost a
-    // single, explicitly primed event instead of a smear across the sweep.
     let router = Router::bind(
         "127.0.0.1:0",
         &addrs,
         RouterOptions::default()
             .with_replication(2)
-            .with_backend_connections(1)
             .with_handoff(handoff)
             .with_health(
                 Duration::from_millis(10),

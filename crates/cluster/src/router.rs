@@ -4,34 +4,54 @@
 //!
 //! One **acceptor** owns the client listener.  Each client connection gets
 //! a **reader** (decode, route, answer local ops) and a **writer** (owns
-//! the socket write half behind a bounded channel).  Each backend gets
-//! `backend_connections` **exchange workers** pulling from one bounded
-//! per-backend queue, plus one **health prober**.  A single **retry
-//! timer** holds backed-off jobs until they are due.
+//! the socket write half behind a bounded channel).  Each backend gets one
+//! **exchange worker** pulling from a bounded per-backend queue, one
+//! **connection reader** per live backend connection, and one **health
+//! prober**.  A single **retry timer** holds backed-off jobs until they
+//! are due.
 //!
-//! # Bit-identical forwarding
+//! # Pipelined backend connections
+//!
+//! A backend is reached over one persistent connection that carries many
+//! exchanges at once.  The worker drains every queued job (up to a cap of
+//! exchanges in flight) into one socket write, stamping each request line
+//! with a router-assigned exchange id and registering the job in the
+//! connection's pending set.  The connection's reader frames responses,
+//! matches each to its job by that id and answers the client; a backend
+//! therefore sees a routed stream as pipelined as a direct client's, and
+//! can micro-batch it.
+//!
+//! # Byte-identical forwarding
 //!
 //! The router never re-encodes evaluation traffic.  A client's `eval`
 //! line is decoded once — to validate it and derive the routing
-//! fingerprint — but the *original bytes* travel to the backend, and the
-//! backend's response line travels back verbatim.  Locally answered ops
-//! (`ping`, decode errors, spec errors) go through the same `wire`
-//! encoder a single [`Server`](crosslight_server::server::Server) uses.
-//! A cluster is therefore byte-indistinguishable from one server on every
-//! answered request, which the chaos suite asserts multiset-exactly.
+//! fingerprint — and then travels to the backend byte for byte except for
+//! the digits of its top-level `id`, which are replaced by the exchange
+//! id.  The backend's response line travels back byte for byte except for
+//! the same digits, which are restored to the client's id.  (A request
+//! whose `id` cannot be located without a parse — an escaped key, say — is
+//! re-encoded once with the same content.)  Locally answered ops (`ping`,
+//! decode errors, spec errors) go through the same `wire` encoder a single
+//! [`Server`](crosslight_server::server::Server) uses.  A cluster is
+//! therefore byte-indistinguishable from one server on every answered
+//! request, which the chaos suite asserts multiset-exactly.
 //!
 //! # Failure policy
 //!
-//! Every hop is bounded: connects, reads and writes time out, and every
-//! request carries an end-to-end deadline.  A transport fault (dead
-//! connection, timeout, garbled or mismatched response) records a breaker
-//! failure and *fails over* — the job is re-dispatched to the next
-//! replica, which is safe because evaluations are pure and idempotent.
-//! Retries consume a bounded, cluster-wide [`RetryBudget`] and back off
-//! exponentially with deterministic jitter.  When no replica is usable
-//! and the budget, attempts or deadline run out, the request is shed with
-//! an explicit retryable `unavailable` error — never a hang, never a
-//! silent wrong answer.
+//! Every hop is bounded: connects, reads and writes time out, every
+//! exchange has a per-hop deadline, and every request carries an
+//! end-to-end deadline.  A transport fault (dead connection, timeout,
+//! garbled or unmatched response) retires the connection and is charged
+//! once: one breaker failure and one attempt, to the exchange it hit.  That
+//! exchange *fails over* — it is re-dispatched to the next replica, which
+//! is safe because evaluations are pure and idempotent — and every other
+//! exchange in flight on the socket is re-dispatched free of charge, like
+//! a queued job whose breaker opened.  Retries consume a bounded,
+//! cluster-wide [`RetryBudget`] and back off exponentially with
+//! deterministic jitter.  When no replica is usable and the budget,
+//! attempts or deadline run out, the request is shed with an explicit
+//! retryable `unavailable` error — never a hang, never a silent wrong
+//! answer.
 //!
 //! # Warm recovery and hedging
 //!
@@ -48,11 +68,13 @@
 //! exactly once and the loser is cancelled or discarded, never delivered.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, BufWriter, Write};
+use std::fmt::Write as _;
+use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,7 +82,7 @@ use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
 use crosslight_server::loadgen::{Client, ClientOptions};
-use crosslight_server::server::{read_line_limited, LineRead};
+use crosslight_server::poller::{LineScanner, ScanEvent};
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
     ResponseBody, SnapshotEntry, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
@@ -83,13 +105,12 @@ pub struct RouterOptions {
     /// Replicas per shard: how many backends (in rendezvous order) may
     /// serve a given fingerprint (clamped to `1..=backends`).
     pub replication: usize,
-    /// Concurrent exchange connections per backend.
-    pub backend_connections: usize,
     /// Queued jobs per backend before dispatch spills to the next replica.
     pub queue_capacity: usize,
     /// Bound on dialing a backend.
     pub connect_timeout: Duration,
-    /// Bound on one request/response exchange with a backend.
+    /// Per-hop deadline of one exchange with a backend, counted from the
+    /// write that carries its request; also bounds a stalled socket write.
     pub request_timeout: Duration,
     /// End-to-end deadline of one client request, covering every retry
     /// and backoff; expiry sheds the request with `unavailable`.
@@ -171,7 +192,6 @@ impl Default for RouterOptions {
     fn default() -> Self {
         Self {
             replication: 2,
-            backend_connections: 2,
             queue_capacity: 256,
             connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(5),
@@ -196,15 +216,6 @@ impl RouterOptions {
     #[must_use]
     pub fn with_replication(mut self, replication: usize) -> Self {
         self.replication = replication;
-        self
-    }
-
-    /// Returns a copy with a different per-backend exchange-connection
-    /// fan.  Each exchange occupies one connection for a full round trip,
-    /// so this bounds a backend's concurrent in-flight requests.
-    #[must_use]
-    pub fn with_backend_connections(mut self, backend_connections: usize) -> Self {
-        self.backend_connections = backend_connections;
         self
     }
 
@@ -314,6 +325,7 @@ struct ClusterTelemetry {
     retry_budget_tenths: Gauge,
     faults_injected: Counter,
     hop_ns: Histogram,
+    write_lines: Histogram,
     handoff_snapshots_sent: Counter,
     handoff_restored: Counter,
     handoff_entries: Counter,
@@ -331,6 +343,7 @@ struct ClusterTelemetry {
     probes_ok: Vec<Counter>,
     probes_failed: Vec<Counter>,
     queue_depth: Vec<Gauge>,
+    inflight: Vec<Gauge>,
 }
 
 impl ClusterTelemetry {
@@ -416,6 +429,10 @@ impl ClusterTelemetry {
             hop_ns: registry.histogram(
                 "cluster_hop_ns",
                 "Latency of one successful backend exchange, in nanoseconds.",
+            ),
+            write_lines: registry.histogram(
+                "cluster_backend_write_lines",
+                "Request lines carried by one backend socket write.",
             ),
             handoff_snapshots_sent: registry.counter(
                 "cluster_handoff_snapshots_sent_total",
@@ -513,6 +530,15 @@ impl ClusterTelemetry {
                     )
                 })
                 .collect(),
+            inflight: (0..backends)
+                .map(|b| {
+                    registry.gauge_with(
+                        "cluster_backend_inflight",
+                        "Exchanges written to a backend connection and not yet answered.",
+                        &[("backend", &b.to_string())],
+                    )
+                })
+                .collect(),
             registry,
         }
     }
@@ -530,6 +556,9 @@ impl ClusterTelemetry {
 struct ForwardJob {
     id: u64,
     line: Arc<String>,
+    /// Byte range of the digits of `id` in `line`, replaced by the
+    /// exchange id on the way to a backend.
+    id_span: Range<usize>,
     fingerprint: u64,
     /// Failed I/O attempts so far (the in-progress attempt not included).
     attempts: u32,
@@ -624,6 +653,15 @@ pub struct RouterStats {
 /// Upper bound on encoded response lines queued per client connection.
 const WRITE_QUEUE_LINES: usize = 1024;
 
+/// Exchanges in flight on one backend connection.  At the cap the worker
+/// stops draining the backend's queue, so the queue fills and dispatch
+/// spills to the next replica; the cap also bounds what one slow backend
+/// holds in memory.
+const MAX_INFLIGHT: usize = 16;
+
+/// Bytes requested per socket read by the client and backend readers.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Poll period of the worker/retry/prober loops when idle; bounds how
 /// long shutdown waits for them to notice the flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
@@ -686,7 +724,6 @@ impl Router {
         let local_addr = listener.local_addr()?;
         let options = RouterOptions {
             replication: options.replication.clamp(1, backends.len()),
-            backend_connections: options.backend_connections.max(1),
             queue_capacity: options.queue_capacity.max(1),
             max_line_bytes: options.max_line_bytes.max(1024),
             ..options
@@ -713,7 +750,7 @@ impl Router {
         for _ in backends {
             let (tx, rx) = mpsc::sync_channel::<ForwardJob>(options.queue_capacity);
             queues.push(tx);
-            receivers.push(Arc::new(Mutex::new(rx)));
+            receivers.push(rx);
         }
         let (retry_tx, retry_rx) = mpsc::channel::<(Instant, ForwardJob)>();
         let retry_budget = options.retry_budget;
@@ -728,19 +765,17 @@ impl Router {
             connections: Mutex::new(HashMap::new()),
             workloads,
         });
-        let mut worker_threads = Vec::new();
-        for (index, rx) in receivers.into_iter().enumerate() {
-            for conn in 0..shared.options.backend_connections {
+        let worker_threads = receivers
+            .into_iter()
+            .enumerate()
+            .map(|(index, rx)| {
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                worker_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("crosslight-cluster-b{index}-x{conn}"))
-                        .spawn(move || backend_worker(&shared, index, &rx))
-                        .expect("spawning a backend worker succeeds"),
-                );
-            }
-        }
+                std::thread::Builder::new()
+                    .name(format!("crosslight-cluster-b{index}"))
+                    .spawn(move || backend_worker(&shared, index, &rx))
+                    .expect("spawning a backend worker succeeds")
+            })
+            .collect();
         let prober_threads = (0..shared.backends.len())
             .map(|index| {
                 let shared = Arc::clone(&shared);
@@ -1082,10 +1117,69 @@ fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detai
 }
 
 // ---------------------------------------------------------------------------
-// Backend exchange workers
+// Pipelined backend connections
 // ---------------------------------------------------------------------------
 
-/// One persistent exchange connection to a backend, stamped with the
+/// One exchange registered on a backend connection.
+#[derive(Debug)]
+struct Pending {
+    /// The router-assigned exchange id stamped into the request line.
+    xid: u64,
+    job: ForwardJob,
+    sent: Instant,
+    /// Per-hop deadline: `request_timeout` after the send, capped by the
+    /// job's end-to-end deadline.
+    expires: Instant,
+}
+
+/// The exchanges in flight on one connection.
+#[derive(Debug, Default)]
+struct Inflight {
+    pending: Vec<Pending>,
+    /// Set exactly once, by whichever side retires the connection; that
+    /// side resolves every exchange that was pending.
+    dead: bool,
+}
+
+/// What the worker and the reader of one backend connection share.  An
+/// exchange leaves `pending` exactly once — answered by the reader, or
+/// taken by whoever retires the connection — which is what makes delivery
+/// exactly-once under pipelining.
+#[derive(Debug, Default)]
+struct Link {
+    inflight: Mutex<Inflight>,
+    /// Signalled when an exchange resolves or the link dies, waking a
+    /// worker that waits at the in-flight cap.
+    room: Condvar,
+}
+
+impl Link {
+    fn lock(&self) -> MutexGuard<'_, Inflight> {
+        self.inflight.lock().expect("backend link lock poisoned")
+    }
+
+    /// Marks the link dead and takes its pending exchanges; empty when the
+    /// other side already retired it.
+    fn retire(&self) -> Vec<Pending> {
+        let mut inflight = self.lock();
+        if inflight.dead {
+            return Vec::new();
+        }
+        inflight.dead = true;
+        self.room.notify_all();
+        std::mem::take(&mut inflight.pending)
+    }
+
+    /// Takes the exchange answered under `xid`, if it is still pending.
+    fn take(&self, xid: u64) -> Option<Pending> {
+        let mut inflight = self.lock();
+        let index = inflight.pending.iter().position(|p| p.xid == xid)?;
+        self.room.notify_one();
+        Some(inflight.pending.swap_remove(index))
+    }
+}
+
+/// The worker's pipelined connection to a backend, stamped with the
 /// backend's connection generation at dial time.  The generation bumps
 /// whenever the breaker opens or the address changes, so a stale stamp
 /// means this socket belongs to a previous incarnation of the backend —
@@ -1094,254 +1188,512 @@ fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detai
 #[derive(Debug)]
 struct BackendConn {
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
     generation: u64,
+    link: Arc<Link>,
+    next_xid: u64,
+    reader: JoinHandle<()>,
 }
 
-fn open_conn(
-    addr: SocketAddr,
-    options: &RouterOptions,
-    generation: u64,
-) -> std::io::Result<BackendConn> {
-    let stream = TcpStream::connect_timeout(&addr, options.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(options.request_timeout))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok(BackendConn {
-        stream,
-        reader,
-        generation,
-    })
-}
-
-/// What one backend exchange produced.
-enum Exchange {
-    /// A response line to forward to the client verbatim.
-    Deliver(String),
-    /// The backend refused with a retryable error frame (overloaded,
-    /// draining): fail over without blaming the backend's health, and
-    /// forward this line if retries run out.
-    SoftRetry(String),
-    /// A transport fault: connection dead, timeout, garbled or mismatched
-    /// response.  Blames the backend's breaker and fails over.
-    Fault(String),
-}
-
-fn backend_worker(shared: &Arc<ClusterShared>, backend: usize, rx: &Mutex<Receiver<ForwardJob>>) {
-    let mut conn: Option<BackendConn> = None;
-    loop {
-        let received = {
-            let rx = rx.lock().expect("backend queue lock poisoned");
-            rx.recv_timeout(IDLE_POLL)
+impl BackendConn {
+    fn dial(shared: &Arc<ClusterShared>, backend: usize, generation: u64) -> std::io::Result<Self> {
+        let options = &shared.options;
+        let addr = shared.backends[backend].addr();
+        let stream = TcpStream::connect_timeout(&addr, options.connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(options.request_timeout))?;
+        // The reader wakes at least this often to enforce per-hop
+        // deadlines and to notice a retired link.
+        stream.set_read_timeout(Some(IDLE_POLL))?;
+        let read_half = stream.try_clone()?;
+        let link = Arc::new(Link::default());
+        let reader = {
+            let shared = Arc::clone(shared);
+            let link = Arc::clone(&link);
+            std::thread::Builder::new()
+                .name(format!("crosslight-cluster-b{backend}-read"))
+                .spawn(move || backend_reader(&shared, backend, &read_half, &link))?
         };
-        match received {
-            Ok(job) => {
-                shared.telemetry.queue_depth[backend].sub(1);
-                process_job(shared, backend, &mut conn, job);
-            }
+        Ok(Self {
+            stream,
+            generation,
+            link,
+            next_xid: 0,
+            reader,
+        })
+    }
+
+    /// Retires the link (whatever was still pending re-dispatches free),
+    /// closes the socket and joins the reader.
+    fn close(self, shared: &Arc<ClusterShared>, backend: usize) {
+        retire(shared, backend, &self.link, None, None);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.reader.join();
+    }
+}
+
+/// Retires a link.  Every exchange still pending on it re-dispatches
+/// free, except that a transport fault (`fault`) is charged once: one
+/// breaker failure and one attempt, to the exchange it hit (`hit`, else
+/// the oldest).  A link the other side already retired has nothing
+/// pending left, so the fault is charged by whoever retired it first.
+fn retire(
+    shared: &Arc<ClusterShared>,
+    backend: usize,
+    link: &Link,
+    fault: Option<&str>,
+    hit: Option<u64>,
+) {
+    let mut rest = link.retire();
+    shared.telemetry.inflight[backend].sub(rest.len() as i64);
+    if let Some(detail) = fault {
+        let blamed = hit
+            .and_then(|xid| rest.iter().position(|p| p.xid == xid))
+            .or_else(|| (0..rest.len()).min_by_key(|&i| rest[i].xid));
+        if let Some(index) = blamed {
+            charge(shared, backend, rest.swap_remove(index).job, detail);
+        }
+    }
+    requeue(shared, backend, rest.into_iter().map(|p| p.job));
+}
+
+/// Books a transport fault against the backend's breaker and the job's
+/// attempts, then fails the job over.
+fn charge(shared: &Arc<ClusterShared>, backend: usize, job: ForwardJob, detail: &str) {
+    shared.telemetry.backend_failures[backend].inc();
+    if shared.backends[backend].record_failure() == Transition::Opened {
+        shared.telemetry.circuit_opened[backend].inc();
+    }
+    shared
+        .telemetry
+        .sync_state_gauge(backend, shared.backends[backend].state());
+    retry_after_failure(shared, backend, job, None, detail);
+}
+
+/// Re-dispatches jobs away from this backend free of charge — no attempt,
+/// no budget token — because no fault of theirs took them off it.
+fn requeue(
+    shared: &Arc<ClusterShared>,
+    backend: usize,
+    jobs: impl IntoIterator<Item = ForwardJob>,
+) {
+    for mut job in jobs {
+        job.tried |= 1u64 << backend;
+        shared.telemetry.failovers.inc();
+        dispatch(shared, job);
+    }
+}
+
+fn backend_worker(shared: &Arc<ClusterShared>, backend: usize, rx: &Receiver<ForwardJob>) {
+    let mut conn: Option<BackendConn> = None;
+    let mut jobs: Vec<ForwardJob> = Vec::with_capacity(MAX_INFLIGHT);
+    let mut staged: Vec<Pending> = Vec::with_capacity(MAX_INFLIGHT);
+    let mut out = String::new();
+    loop {
+        match rx.recv_timeout(IDLE_POLL) {
+            Ok(job) => jobs.push(job),
             Err(RecvTimeoutError::Timeout) => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     // Shutdown joins client connections (and therefore
                     // resolves every job) before joining workers, so an
                     // idle poll here means the queue stays empty.
-                    return;
+                    break;
                 }
+                continue;
             }
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => break,
         }
+        let room = wait_for_room(conn.as_ref());
+        jobs.extend(rx.try_iter().take(room.saturating_sub(1)));
+        shared.telemetry.queue_depth[backend].sub(jobs.len() as i64);
+        send_batch(shared, backend, &mut conn, &mut jobs, &mut staged, &mut out);
+    }
+    if let Some(conn) = conn {
+        conn.close(shared, backend);
     }
 }
 
-fn process_job(
-    shared: &Arc<ClusterShared>,
-    backend: usize,
-    conn: &mut Option<BackendConn>,
-    mut job: ForwardJob,
-) {
-    // A queued hedge whose primary already answered does no I/O at all.
-    if job.hedge && job.is_claimed() {
-        shared.telemetry.hedges_cancelled.inc();
-        return;
+/// How many more exchanges the connection takes, waiting while it sits at
+/// the in-flight cap.  A dead link has room: its jobs go to a fresh dial.
+fn wait_for_room(conn: Option<&BackendConn>) -> usize {
+    let Some(conn) = conn else {
+        return MAX_INFLIGHT;
+    };
+    let mut inflight = conn.link.lock();
+    while !inflight.dead && inflight.pending.len() >= MAX_INFLIGHT {
+        inflight = conn
+            .link
+            .room
+            .wait_timeout(inflight, IDLE_POLL)
+            .expect("backend link lock poisoned")
+            .0;
     }
-    if Instant::now() >= job.deadline {
-        shed(
-            shared,
-            &job,
-            ShedReason::Deadline,
-            "request deadline exceeded",
-        );
-        return;
-    }
-    // The breaker may have tripped while the job sat in the queue; requeue
-    // costs nothing (no I/O happened).
-    if !shared.backends[backend].available() {
-        job.tried |= 1u64 << backend;
-        shared.telemetry.failovers.inc();
-        dispatch(shared, job);
-        return;
-    }
-    let started = Instant::now();
-    match exchange(shared, backend, conn, &job) {
-        Exchange::Deliver(line) => {
-            shared
-                .telemetry
-                .hop_ns
-                .record(started.elapsed().as_nanos() as u64);
-            let transition = shared.backends[backend].record_success();
-            if transition == Transition::Readmitted {
-                shared.telemetry.readmitted[backend].inc();
-            }
-            shared
-                .telemetry
-                .sync_state_gauge(backend, shared.backends[backend].state());
-            shared.budget.deposit();
-            if job.claim() {
-                if job.hedge {
-                    shared.telemetry.hedges_won.inc();
-                }
-                shared.telemetry.evals_ok.inc();
-                let _ = job.reply.send(line);
-            } else {
-                // The other copy answered first; this exchange's work is
-                // sunk cost (the backend bookkeeping above still counts).
-                shared.telemetry.hedges_wasted.inc();
-            }
-        }
-        Exchange::SoftRetry(line) => {
-            let detail = "backend refused with a retryable error";
-            retry_after_failure(shared, backend, job, Some(line), detail);
-        }
-        Exchange::Fault(detail) => {
-            *conn = None;
-            shared.telemetry.backend_failures[backend].inc();
-            if shared.backends[backend].record_failure() == Transition::Opened {
-                shared.telemetry.circuit_opened[backend].inc();
-            }
-            shared
-                .telemetry
-                .sync_state_gauge(backend, shared.backends[backend].state());
-            retry_after_failure(shared, backend, job, None, &detail);
-        }
-    }
-}
-
-/// One request/response exchange with a backend, every step bounded by
-/// the per-hop timeout and the job's remaining deadline.
-fn exchange(
-    shared: &Arc<ClusterShared>,
-    backend: usize,
-    conn: &mut Option<BackendConn>,
-    job: &ForwardJob,
-) -> Exchange {
-    let options = &shared.options;
-    let mut send_garbled = false;
-    match shared.faults().check(FaultPoint::BackendSend, backend) {
-        Some(FaultAction::Kill) => {
-            *conn = None;
-            return Exchange::Fault("injected: connection killed at backend.send".to_string());
-        }
-        Some(FaultAction::Stall(ms)) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            *conn = None;
-            return Exchange::Fault("injected: stall at backend.send".to_string());
-        }
-        Some(FaultAction::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::Garble) => send_garbled = true,
-        None => {}
-    }
-    // A pooled connection from before the backend's last outage (or
-    // re-address) is a socket to a dead incarnation: drop it and redial
-    // rather than letting its write error count against the live process.
-    let generation = shared.backends[backend].generation();
-    if conn.as_ref().is_some_and(|c| c.generation != generation) {
-        *conn = None;
-    }
-    if conn.is_none() {
-        match open_conn(shared.backends[backend].addr(), options, generation) {
-            Ok(fresh) => *conn = Some(fresh),
-            Err(err) => return Exchange::Fault(format!("connect: {err}")),
-        }
-    }
-    let active = conn.as_mut().expect("connection was just established");
-    let remaining = job.deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Exchange::Fault("request deadline exceeded before send".to_string());
-    }
-    let hop_budget = options.request_timeout.min(remaining);
-    if active.stream.set_read_timeout(Some(hop_budget)).is_err() {
-        *conn = None;
-        return Exchange::Fault("socket configuration failed".to_string());
-    }
-    let garbled_line;
-    let outgoing: &str = if send_garbled {
-        garbled_line = FaultPlan::garble_line(&job.line);
-        &garbled_line
+    if inflight.dead {
+        MAX_INFLIGHT
     } else {
-        &job.line
-    };
-    let wrote = active
-        .stream
-        .write_all(outgoing.as_bytes())
-        .and_then(|()| active.stream.write_all(b"\n"))
-        .and_then(|()| active.stream.flush());
-    if let Err(err) = wrote {
-        *conn = None;
-        return Exchange::Fault(format!("write: {err}"));
+        MAX_INFLIGHT - inflight.pending.len()
     }
-    let mut line = match read_line_limited(&mut active.reader, options.max_line_bytes) {
-        LineRead::Line(line) => line,
-        LineRead::Eof => {
-            *conn = None;
-            return Exchange::Fault("backend closed the connection mid-exchange".to_string());
+}
+
+/// Stamps a batch of jobs with exchange ids, registers them on the
+/// connection and sends them in one write.
+fn send_batch(
+    shared: &Arc<ClusterShared>,
+    backend: usize,
+    conn: &mut Option<BackendConn>,
+    jobs: &mut Vec<ForwardJob>,
+    staged: &mut Vec<Pending>,
+    out: &mut String,
+) {
+    // A connection from before the backend's last outage (or re-address)
+    // is a socket to a dead incarnation, and a dead link is done: drop
+    // either and redial rather than letting its write error count against
+    // the live process.
+    let generation = shared.backends[backend].generation();
+    if conn
+        .as_ref()
+        .is_some_and(|c| c.generation != generation || c.link.lock().dead)
+    {
+        conn.take().expect("checked above").close(shared, backend);
+    }
+    out.clear();
+    for job in jobs.drain(..) {
+        // A queued hedge whose primary already answered does no I/O at all.
+        if job.hedge && job.is_claimed() {
+            shared.telemetry.hedges_cancelled.inc();
+            continue;
         }
-        LineRead::Oversized => {
-            *conn = None;
-            return Exchange::Fault("backend response exceeded the line limit".to_string());
+        if Instant::now() >= job.deadline {
+            shed(
+                shared,
+                &job,
+                ShedReason::Deadline,
+                "request deadline exceeded",
+            );
+            continue;
         }
-        LineRead::InvalidUtf8 => {
-            *conn = None;
-            return Exchange::Fault("backend response is not valid UTF-8".to_string());
+        // The breaker may have tripped while the job sat in the queue;
+        // requeue costs nothing (no I/O happened).
+        if !shared.backends[backend].available() {
+            requeue(shared, backend, [job]);
+            continue;
         }
-        LineRead::Error => {
-            *conn = None;
-            return Exchange::Fault("read: socket error or per-hop timeout".to_string());
+        let mut garble = false;
+        let injected = match shared.faults().check(FaultPoint::BackendSend, backend) {
+            Some(FaultAction::Kill) => Some("injected: connection killed at backend.send"),
+            Some(FaultAction::Stall(ms)) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                Some("injected: stall at backend.send")
+            }
+            Some(FaultAction::Slow(ms)) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                None
+            }
+            Some(FaultAction::Garble) => {
+                garble = true;
+                None
+            }
+            None => None,
+        };
+        if let Some(detail) = injected {
+            // The connection dies with everything in flight or staged on it.
+            if let Some(dead) = conn.take() {
+                dead.close(shared, backend);
+            }
+            out.clear();
+            requeue(shared, backend, staged.drain(..).map(|p| p.job));
+            charge(shared, backend, job, detail);
+            continue;
         }
+        let active = match conn {
+            Some(active) => active,
+            None => match BackendConn::dial(shared, backend, generation) {
+                Ok(fresh) => conn.insert(fresh),
+                Err(err) => {
+                    charge(shared, backend, job, &format!("connect: {err}"));
+                    continue;
+                }
+            },
+        };
+        let xid = active.next_xid;
+        active.next_xid += 1;
+        let start = out.len();
+        splice_id(&job.line, job.id_span.clone(), xid, out);
+        if garble {
+            let garbled = FaultPlan::garble_line(&out[start..]);
+            out.truncate(start);
+            out.push_str(&garbled);
+        }
+        out.push('\n');
+        let sent = Instant::now();
+        let expires = (sent + shared.options.request_timeout).min(job.deadline);
+        staged.push(Pending {
+            xid,
+            job,
+            sent,
+            expires,
+        });
+    }
+    let Some(first) = staged.first().map(|p| p.xid) else {
+        return;
     };
+    let lines = staged.len();
+    let active = conn.as_ref().expect("staged lines imply a live connection");
+    let registered = {
+        let mut inflight = active.link.lock();
+        if !inflight.dead {
+            inflight.pending.append(staged);
+        }
+        !inflight.dead
+    };
+    if !registered {
+        // The reader retired the link after the check above.
+        requeue(shared, backend, staged.drain(..).map(|p| p.job));
+        conn.take()
+            .expect("connection is live")
+            .close(shared, backend);
+        return;
+    }
+    shared.telemetry.inflight[backend].add(lines as i64);
+    shared.telemetry.write_lines.record(lines as u64);
+    if let Err(err) = (&active.stream).write_all(out.as_bytes()) {
+        let detail = format!("write: {err}");
+        retire(shared, backend, &active.link, Some(&detail), Some(first));
+        conn.take()
+            .expect("connection is live")
+            .close(shared, backend);
+    }
+}
+
+/// Frames one backend connection's responses and resolves their
+/// exchanges until the link dies.
+fn backend_reader(shared: &Arc<ClusterShared>, backend: usize, stream: &TcpStream, link: &Link) {
+    let max_bytes = shared.options.max_line_bytes;
+    let mut scanner = LineScanner::new();
+    let mut buf = vec![0u8; READ_CHUNK];
+    loop {
+        let mut fault: Option<(Option<u64>, String)> = match (&*stream).read(&mut buf) {
+            Ok(0) => Some((None, "backend closed the connection".to_string())),
+            Ok(n) => {
+                let mut fault = None;
+                scanner.push(&buf[..n], max_bytes, |event| {
+                    match resolve_response(shared, backend, link, event) {
+                        Ok(()) => true,
+                        Err(raised) => {
+                            fault = Some(raised);
+                            false
+                        }
+                    }
+                });
+                fault
+            }
+            Err(ref e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) =>
+            {
+                None
+            }
+            Err(err) => Some((None, format!("read: {err}"))),
+        };
+        if fault.is_none() {
+            let now = Instant::now();
+            let inflight = link.lock();
+            if inflight.dead {
+                return;
+            }
+            fault = inflight
+                .pending
+                .iter()
+                .filter(|p| p.expires <= now)
+                .min_by_key(|p| p.expires)
+                .map(|p| (Some(p.xid), "read: per-hop timeout".to_string()));
+        }
+        if let Some((hit, detail)) = fault {
+            retire(shared, backend, link, Some(&detail), hit);
+            return;
+        }
+    }
+}
+
+/// Validates one response line, matches it to its exchange and answers
+/// the client with the client's id restored.  `Err` is a connection-level
+/// fault and the exchange it hit, when known.
+fn resolve_response(
+    shared: &Arc<ClusterShared>,
+    backend: usize,
+    link: &Link,
+    event: ScanEvent,
+) -> Result<(), (Option<u64>, String)> {
+    let mut line = match event {
+        ScanEvent::Line(line) => line,
+        ScanEvent::Oversized => {
+            return Err((None, "backend response exceeded the line limit".into()))
+        }
+        ScanEvent::InvalidUtf8 => return Err((None, "backend response is not valid UTF-8".into())),
+    };
+    // The exchange this line answers, read without a parse so a fault
+    // injected below is charged to it.
+    let scanned = id_span(&line).and_then(|span| Some((line[span.clone()].parse().ok()?, span)));
+    let hit = scanned.as_ref().map(|(xid, _)| *xid);
     match shared.faults().check(FaultPoint::BackendRecv, backend) {
         Some(FaultAction::Kill) => {
-            *conn = None;
-            return Exchange::Fault("injected: connection killed at backend.recv".to_string());
+            return Err((hit, "injected: connection killed at backend.recv".into()))
         }
         Some(FaultAction::Stall(ms)) => {
             std::thread::sleep(Duration::from_millis(ms));
-            *conn = None;
-            return Exchange::Fault("injected: stall at backend.recv".to_string());
+            return Err((hit, "injected: stall at backend.recv".into()));
         }
         Some(FaultAction::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
         Some(FaultAction::Garble) => line = FaultPlan::garble_line(&line),
         None => {}
     }
-    match wire::decode_response(&line) {
-        Ok(response) if response.id == Some(job.id) => match &response.body {
-            ResponseBody::Error(frame) if frame.kind.retryable() => Exchange::SoftRetry(line),
-            ResponseBody::Eval(_) | ResponseBody::Error(_) => Exchange::Deliver(line),
-            _ => {
-                *conn = None;
-                Exchange::Fault("protocol violation: unexpected response body".to_string())
-            }
-        },
-        Ok(response) => {
-            *conn = None;
-            Exchange::Fault(format!(
-                "response id {:?} does not match request id {}",
-                response.id, job.id
-            ))
+    let Ok(response) = wire::decode_response(&line) else {
+        return Err((hit, "undecodable response line".into()));
+    };
+    let retryable = match &response.body {
+        ResponseBody::Error(frame) => frame.kind.retryable(),
+        ResponseBody::Eval(_) => false,
+        _ => {
+            let detail = "protocol violation: unexpected response body";
+            return Err((response.id, detail.into()));
         }
-        Err(_) => {
-            *conn = None;
-            Exchange::Fault("undecodable response line".to_string())
+    };
+    let Some(pending) = response.id.and_then(|xid| link.take(xid)) else {
+        let detail = format!(
+            "response id {:?} matches no exchange in flight",
+            response.id
+        );
+        return Err((hit, detail));
+    };
+    shared.telemetry.inflight[backend].sub(1);
+    let job = pending.job;
+    // Restore the client's id; the rest of the line travels byte for byte.
+    let forwarded = match scanned {
+        Some((xid, span)) if Some(xid) == response.id => {
+            let mut forwarded = String::with_capacity(line.len() + 8);
+            splice_id(&line, span, job.id, &mut forwarded);
+            forwarded
         }
+        _ => wire::encode_response(&Response {
+            id: Some(job.id),
+            body: response.body,
+        }),
+    };
+    if retryable {
+        // The backend refused with a retryable error frame (overloaded,
+        // draining): fail over without blaming the backend's health, and
+        // forward this line if retries run out.
+        let detail = "backend refused with a retryable error";
+        retry_after_failure(shared, backend, job, Some(forwarded), detail);
+        return Ok(());
     }
+    shared
+        .telemetry
+        .hop_ns
+        .record(pending.sent.elapsed().as_nanos() as u64);
+    let transition = shared.backends[backend].record_success();
+    if transition == Transition::Readmitted {
+        shared.telemetry.readmitted[backend].inc();
+    }
+    shared
+        .telemetry
+        .sync_state_gauge(backend, shared.backends[backend].state());
+    shared.budget.deposit();
+    if job.claim() {
+        if job.hedge {
+            shared.telemetry.hedges_won.inc();
+        }
+        shared.telemetry.evals_ok.inc();
+        let _ = job.reply.send(forwarded);
+    } else {
+        // The other copy answered first; this exchange's work is sunk
+        // cost (the backend bookkeeping above still counts).
+        shared.telemetry.hedges_wasted.inc();
+    }
+    Ok(())
+}
+
+/// Appends `line` to `out` with the bytes in `span` replaced by `id`.
+fn splice_id(line: &str, span: Range<usize>, id: u64, out: &mut String) {
+    out.push_str(&line[..span.start]);
+    let _ = write!(out, "{id}");
+    out.push_str(&line[span.end..]);
+}
+
+/// Byte range of the digits of a frame's top-level `id`, found without a
+/// parse: the value of the first top-level key spelled exactly `"id"` —
+/// the member a decode reads, since lookups take the first match.  `None`
+/// when a top-level key before it holds an escape (it might decode to
+/// `id`) or the value is not a bare run of digits.
+fn id_span(line: &str) -> Option<Range<usize>> {
+    fn skip_space(bytes: &[u8], mut at: usize) -> usize {
+        while bytes
+            .get(at)
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+        {
+            at += 1;
+        }
+        at
+    }
+    let bytes = line.as_bytes();
+    let mut depth = 0usize;
+    let mut key_next = false;
+    let mut at = 0;
+    while at < bytes.len() {
+        match bytes[at] {
+            b'"' => {
+                let start = at + 1;
+                let mut escaped = false;
+                at += 1;
+                while *bytes.get(at)? != b'"' {
+                    if bytes[at] == b'\\' {
+                        escaped = true;
+                        at += 1;
+                    }
+                    at += 1;
+                }
+                if depth == 1 && key_next {
+                    if escaped {
+                        return None;
+                    }
+                    if &bytes[start..at] == b"id" {
+                        let colon = skip_space(bytes, at + 1);
+                        if bytes.get(colon) != Some(&b':') {
+                            return None;
+                        }
+                        let digits = skip_space(bytes, colon + 1);
+                        let mut end = digits;
+                        while bytes.get(end).is_some_and(u8::is_ascii_digit) {
+                            end += 1;
+                        }
+                        let after = bytes.get(skip_space(bytes, end));
+                        return (end > digits && matches!(after, Some(b',' | b'}')))
+                            .then_some(digits..end);
+                    }
+                }
+                key_next = false;
+            }
+            b'{' => {
+                depth += 1;
+                key_next = true;
+            }
+            b'[' => {
+                depth += 1;
+                key_next = false;
+            }
+            b'}' | b']' => {
+                depth = depth.checked_sub(1)?;
+                key_next = false;
+            }
+            b',' => key_next = depth == 1,
+            _ => {}
+        }
+        at += 1;
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1482,16 +1834,12 @@ fn probe(shared: &Arc<ClusterShared>, backend: usize) -> bool {
         Some(FaultAction::Garble) => garble = true,
         None => {}
     }
-    let addr = shared.backends[backend].addr();
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
+    let Ok(mut client) = Client::connect_with(
+        shared.backends[backend].addr(),
+        ClientOptions::with_deadline(timeout),
+    ) else {
         return false;
     };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return false;
-    }
     let mut ping = wire::encode_request(&Request {
         id: 0,
         body: RequestBody::Ping,
@@ -1499,26 +1847,14 @@ fn probe(shared: &Arc<ClusterShared>, backend: usize) -> bool {
     if garble {
         ping = FaultPlan::garble_line(&ping);
     }
-    let mut stream = stream;
-    if stream
-        .write_all(ping.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    let LineRead::Line(line) = read_line_limited(&mut reader, shared.options.max_line_bytes) else {
-        return false;
-    };
-    matches!(
-        wire::decode_response(&line),
-        Ok(Response {
-            id: Some(0),
-            body: ResponseBody::Pong,
-        })
-    )
+    client.send_raw(&ping).is_ok()
+        && matches!(
+            client.recv(),
+            Ok(Response {
+                id: Some(0),
+                body: ResponseBody::Pong,
+            })
+        )
 }
 
 // ---------------------------------------------------------------------------
@@ -1779,137 +2115,145 @@ fn answer(lines: &SyncSender<String>, response: &Response) -> bool {
 }
 
 fn client_read_loop(shared: &Arc<ClusterShared>, stream: &TcpStream, lines: &SyncSender<String>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let max_bytes = shared.options.max_line_bytes;
-    let telemetry = &shared.telemetry;
+    let mut scanner = LineScanner::new();
+    let mut buf = vec![0u8; READ_CHUNK];
     loop {
-        let line = match read_line_limited(&mut reader, max_bytes) {
-            LineRead::Line(line) => line,
-            LineRead::Oversized => {
-                telemetry.requests_total.inc();
-                telemetry.oversized_total.inc();
-                let frame = ErrorFrame::new(
-                    ErrorKind::Oversized,
-                    format!("line exceeds {max_bytes} bytes"),
-                );
-                if !answer(lines, &Response::error(None, frame)) {
-                    return;
-                }
-                continue;
-            }
-            LineRead::InvalidUtf8 => {
-                telemetry.requests_total.inc();
-                telemetry.malformed_total.inc();
-                let frame = ErrorFrame::new(ErrorKind::Malformed, "line is not valid UTF-8");
-                if !answer(lines, &Response::error(None, frame)) {
-                    return;
-                }
-                continue;
-            }
-            LineRead::Eof | LineRead::Error => return,
+        let read = match (&*stream).read(&mut buf) {
+            Ok(0) => return,
+            Ok(read) => read,
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
         };
-        if line.trim().is_empty() {
-            continue;
+        let max_bytes = shared.options.max_line_bytes;
+        if !scanner.push(&buf[..read], max_bytes, |event| {
+            serve_line(shared, event, lines)
+        }) {
+            return;
         }
-        telemetry.requests_total.inc();
-        let request = match wire::decode_request(&line) {
-            Ok(request) => request,
-            Err(frame) => {
-                telemetry.malformed_total.inc();
-                let id = wire::peek_id(&line);
-                if !answer(lines, &Response::error(id, frame)) {
-                    return;
+    }
+}
+
+/// Answers or routes one framed client line.  Returns `false` when the
+/// client's writer is gone (the connection is dead).
+fn serve_line(shared: &Arc<ClusterShared>, event: ScanEvent, lines: &SyncSender<String>) -> bool {
+    let telemetry = &shared.telemetry;
+    let line = match event {
+        ScanEvent::Line(line) => line,
+        ScanEvent::Oversized => {
+            telemetry.requests_total.inc();
+            telemetry.oversized_total.inc();
+            let max_bytes = shared.options.max_line_bytes;
+            let frame = ErrorFrame::new(
+                ErrorKind::Oversized,
+                format!("line exceeds {max_bytes} bytes"),
+            );
+            return answer(lines, &Response::error(None, frame));
+        }
+        ScanEvent::InvalidUtf8 => {
+            telemetry.requests_total.inc();
+            telemetry.malformed_total.inc();
+            let frame = ErrorFrame::new(ErrorKind::Malformed, "line is not valid UTF-8");
+            return answer(lines, &Response::error(None, frame));
+        }
+    };
+    if line.trim().is_empty() {
+        return true;
+    }
+    telemetry.requests_total.inc();
+    let request = match wire::decode_request(&line) {
+        Ok(request) => request,
+        Err(frame) => {
+            telemetry.malformed_total.inc();
+            let id = wire::peek_id(&line);
+            return answer(lines, &Response::error(id, frame));
+        }
+    };
+    match request.body {
+        RequestBody::Ping => answer(
+            lines,
+            &Response {
+                id: Some(request.id),
+                body: ResponseBody::Pong,
+            },
+        ),
+        RequestBody::Stats => answer(lines, &aggregate_stats(shared, request.id)),
+        RequestBody::Metrics { format } => {
+            let frame = match format {
+                MetricsFormat::Json => {
+                    MetricsFrame::Snapshot(WireMetricsSnapshot::from(&cluster_scrape(shared)))
                 }
-                continue;
-            }
-        };
-        match request.body {
-            RequestBody::Ping => {
-                let pong = Response {
-                    id: Some(request.id),
-                    body: ResponseBody::Pong,
-                };
-                if !answer(lines, &pong) {
-                    return;
-                }
-            }
-            RequestBody::Stats => {
-                let response = aggregate_stats(shared, request.id);
-                if !answer(lines, &response) {
-                    return;
-                }
-            }
-            RequestBody::Metrics { format } => {
-                let frame = match format {
-                    MetricsFormat::Json => {
-                        MetricsFrame::Snapshot(WireMetricsSnapshot::from(&cluster_scrape(shared)))
-                    }
-                    MetricsFormat::Text => MetricsFrame::Text(render_text(&cluster_scrape(shared))),
-                    // The router itself samples no phase traces; spans live
-                    // on the backends' own metrics endpoints.
-                    MetricsFormat::Spans => MetricsFrame::Spans(Vec::new()),
-                };
-                let response = Response {
+                MetricsFormat::Text => MetricsFrame::Text(render_text(&cluster_scrape(shared))),
+                // The router itself samples no phase traces; spans live
+                // on the backends' own metrics endpoints.
+                MetricsFormat::Spans => MetricsFrame::Spans(Vec::new()),
+            };
+            answer(
+                lines,
+                &Response {
                     id: Some(request.id),
                     body: ResponseBody::Metrics(frame),
-                };
-                if !answer(lines, &response) {
-                    return;
-                }
+                },
+            )
+        }
+        // The router holds no caches of its own: warm state lives on the
+        // backends, and the router moves it between them during handoff.
+        // Clients wanting a snapshot talk to a backend directly.
+        RequestBody::Snapshot { .. } | RequestBody::Restore(_) | RequestBody::RestoreEnd(_) => {
+            let frame = ErrorFrame::new(
+                ErrorKind::Unsupported,
+                "snapshot/restore are backend ops; the router holds no cache state",
+            );
+            answer(lines, &Response::error(Some(request.id), frame))
+        }
+        RequestBody::Eval(spec) => {
+            if shared.shutting_down.load(Ordering::SeqCst) {
+                let frame = ErrorFrame::new(ErrorKind::ShuttingDown, "router is draining");
+                return answer(lines, &Response::error(Some(request.id), frame));
             }
-            // The router holds no caches of its own: warm state lives on the
-            // backends, and the router moves it between them during handoff.
-            // Clients wanting a snapshot talk to a backend directly.
-            RequestBody::Snapshot { .. } | RequestBody::Restore(_) | RequestBody::RestoreEnd(_) => {
-                let frame = ErrorFrame::new(
-                    ErrorKind::Unsupported,
-                    "snapshot/restore are backend ops; the router holds no cache state",
-                );
-                if !answer(lines, &Response::error(Some(request.id), frame)) {
-                    return;
+            // Decode once for validation and the routing key; the raw
+            // line is what travels to the backend.
+            let fingerprint = match spec.to_eval_request(request.id, &shared.workloads) {
+                Ok(eval_request) => eval_request.key().fingerprint(),
+                Err(frame) => {
+                    telemetry.evals_failed.inc();
+                    return answer(lines, &Response::error(Some(request.id), frame));
                 }
+            };
+            // The id's digits are located once here and rewritten per
+            // exchange; a line whose id hides behind an escaped key is
+            // re-encoded with the same content instead.
+            let located =
+                id_span(&line).filter(|span| line[span.clone()].parse() == Ok(request.id));
+            let (line, id_span) = match located {
+                Some(span) => (line, span),
+                None => {
+                    let canonical = wire::encode_request(&Request {
+                        id: request.id,
+                        body: RequestBody::Eval(spec),
+                    });
+                    let span = id_span(&canonical).expect("encoded frames carry a bare id");
+                    (canonical, span)
+                }
+            };
+            telemetry.evals_routed.inc();
+            let job = ForwardJob {
+                id: request.id,
+                line: Arc::new(line),
+                id_span,
+                fingerprint,
+                attempts: 0,
+                tried: 0,
+                deadline: Instant::now() + shared.options.request_deadline,
+                hedge: false,
+                delivered: Arc::new(AtomicBool::new(false)),
+                reply: lines.clone(),
+            };
+            let hedge = hedge_copy(shared, &job);
+            dispatch(shared, job);
+            if let Some(copy) = hedge {
+                park_hedge(shared, copy);
             }
-            RequestBody::Eval(spec) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    let frame = ErrorFrame::new(ErrorKind::ShuttingDown, "router is draining");
-                    if !answer(lines, &Response::error(Some(request.id), frame)) {
-                        return;
-                    }
-                    continue;
-                }
-                // Decode once for validation and the routing key; the raw
-                // line is what travels to the backend.
-                let eval_request = match spec.to_eval_request(request.id, &shared.workloads) {
-                    Ok(eval_request) => eval_request,
-                    Err(frame) => {
-                        telemetry.evals_failed.inc();
-                        if !answer(lines, &Response::error(Some(request.id), frame)) {
-                            return;
-                        }
-                        continue;
-                    }
-                };
-                telemetry.evals_routed.inc();
-                let job = ForwardJob {
-                    id: request.id,
-                    line: Arc::new(line),
-                    fingerprint: eval_request.key().fingerprint(),
-                    attempts: 0,
-                    tried: 0,
-                    deadline: Instant::now() + shared.options.request_deadline,
-                    hedge: false,
-                    delivered: Arc::new(AtomicBool::new(false)),
-                    reply: lines.clone(),
-                };
-                let hedge = hedge_copy(shared, &job);
-                dispatch(shared, job);
-                if let Some(copy) = hedge {
-                    park_hedge(shared, copy);
-                }
-            }
+            true
         }
     }
 }
@@ -2034,6 +2378,56 @@ mod tests {
             .map(|i| format!("127.0.0.1:{}", 1000 + i).parse().unwrap())
             .collect();
         assert!(Router::bind("127.0.0.1:0", &too_many, options).is_err());
+    }
+
+    #[test]
+    fn id_span_finds_the_id_a_decode_reads() {
+        fn located(line: &str) -> Option<&str> {
+            id_span(line).map(|span| &line[span])
+        }
+        // The span agrees with the decoder wherever it is found.
+        for line in [
+            r#"{"v":1,"id":7,"op":"ping"}"#,
+            r#"{ "v" : 1 , "id" : 42 , "op" : "ping" }"#,
+            r#"{"v":1,"config":{"id":3},"id":5,"op":"ping"}"#,
+            r#"{"op":"id","v":1,"id":9}"#,
+            r#"{"v":1,"note":"a \"quoted\" id","id":11,"op":"ping"}"#,
+            r#"{"v":1,"dims":[1,{"id":2}],"id":12,"op":"ping"}"#,
+            r#"{"v":1,"id":3,"id":4,"op":"ping"}"#,
+        ] {
+            let digits = located(line).unwrap_or_else(|| panic!("no id span in {line}"));
+            assert_eq!(digits.parse::<u64>().ok(), wire::peek_id(line), "{line}");
+        }
+        assert_eq!(located(r#"{"v":1,"id":3,"id":4}"#), Some("3"));
+        // Anything it cannot vouch for without a parse is refused.
+        for line in [
+            r#"{"a\"b":1,"id":2}"#,
+            r#"{"id":1e3}"#,
+            r#"{"id":-1}"#,
+            r#"{"id":"7"}"#,
+            r#"{"v":1}"#,
+            r#"{"id":7"#,
+            r#"{"unterminated"#,
+            "",
+        ] {
+            assert_eq!(located(line), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn splicing_the_id_round_trips_byte_for_byte() {
+        let line = wire::encode_request(&Request {
+            id: 12_345,
+            body: RequestBody::Ping,
+        });
+        let span = id_span(&line).expect("encoded frames carry a bare id");
+        let mut stamped = String::new();
+        splice_id(&line, span, 7, &mut stamped);
+        assert_eq!(wire::peek_id(&stamped), Some(7));
+        let back_span = id_span(&stamped).expect("still a bare id");
+        let mut restored = String::new();
+        splice_id(&stamped, back_span, 12_345, &mut restored);
+        assert_eq!(restored, line);
     }
 
     #[test]

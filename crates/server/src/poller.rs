@@ -1,5 +1,5 @@
-//! Readiness and nonblocking-I/O primitives shared by the server's poll
-//! reactor and the high-connection-count swarm load generator.
+//! Readiness and I/O primitives shared by the server's poll reactor, the
+//! cluster router and the high-connection-count swarm load generator.
 //!
 //! Three small pieces:
 //!
@@ -13,10 +13,9 @@
 //!   thread interrupt a [`PollSet::poll`] sleep (the portable equivalent of
 //!   a self-pipe).
 //! * [`LineScanner`] — an incremental, length-limited `\n`-frame decoder
-//!   for nonblocking reads, with the same oversized-resync and UTF-8
-//!   semantics as the blocking [`read_line_limited`] discipline.
-//!
-//! [`read_line_limited`]: crate::server::read_line_limited
+//!   with oversized-line resync and per-line UTF-8 checking: the one line
+//!   discipline of the server's reactor, the cluster router's client and
+//!   backend readers, and the swarm load generator.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -244,8 +243,8 @@ pub enum ScanEvent {
 /// Feed it whatever chunks `read` returns; it buffers partial lines
 /// (bounded by the limit), emits one [`ScanEvent`] per completed line, and
 /// discards the remainder of over-long lines so the stream stays
-/// line-synchronized — the same discipline as the blocking
-/// [`read_line_limited`](crate::server::read_line_limited).
+/// line-synchronized.  It works the same over blocking reads: feed each
+/// chunk a blocking `read` returns.
 #[derive(Debug, Default)]
 pub struct LineScanner {
     buf: Vec<u8>,

@@ -49,7 +49,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{BufRead, IoSlice, Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -1821,130 +1821,10 @@ fn deliver_completion(
     Some(conn)
 }
 
-/// Outcome of reading one length-limited line.
-///
-/// Public so other front-ends speaking the same protocol (the cluster
-/// router) share one line discipline instead of re-deriving it.
-#[derive(Debug)]
-pub enum LineRead {
-    /// A complete line (without the newline).
-    Line(String),
-    /// The line exceeded the limit; the rest of it was discarded.
-    Oversized,
-    /// The line was not valid UTF-8.
-    InvalidUtf8,
-    /// End of stream.
-    Eof,
-    /// The socket failed.
-    Error,
-}
-
-/// Reads one `\n`-terminated line of at most `max_bytes`, discarding the
-/// remainder of over-long lines so the stream stays line-synchronized.
-pub fn read_line_limited<R: BufRead>(reader: &mut R, max_bytes: usize) -> LineRead {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversized = false;
-    loop {
-        let (done, used) = {
-            let available = match reader.fill_buf() {
-                Ok(available) => available,
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return LineRead::Error,
-            };
-            if available.is_empty() {
-                // EOF mid-line counts as EOF: the peer hung up before
-                // finishing the frame, so there is nothing to answer.
-                return LineRead::Eof;
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(newline) => {
-                    if !oversized && buf.len() + newline <= max_bytes {
-                        buf.extend_from_slice(&available[..newline]);
-                    } else {
-                        oversized = true;
-                    }
-                    (true, newline + 1)
-                }
-                None => {
-                    if !oversized && buf.len() + available.len() <= max_bytes {
-                        buf.extend_from_slice(available);
-                    } else {
-                        oversized = true;
-                    }
-                    (false, available.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if done {
-            if oversized {
-                return LineRead::Oversized;
-            }
-            return match String::from_utf8(buf) {
-                Ok(line) => LineRead::Line(line),
-                Err(_) => LineRead::InvalidUtf8,
-            };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
-
-    #[test]
-    fn limited_line_reader_handles_lines_oversize_and_eof() {
-        let data = b"short\n".to_vec();
-        let mut reader = Cursor::new(data);
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Line(line) if line == "short"
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Eof
-        ));
-
-        let long = "x".repeat(5000) + "\nnext\n";
-        let mut reader = Cursor::new(long.into_bytes());
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Oversized
-        ));
-        // The over-long line was discarded; the stream is still synchronized.
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Line(line) if line == "next"
-        ));
-
-        // A line of exactly the limit passes.
-        let exact = "y".repeat(8) + "\n";
-        let mut reader = Cursor::new(exact.into_bytes());
-        assert!(matches!(
-            read_line_limited(&mut reader, 8),
-            LineRead::Line(line) if line.len() == 8
-        ));
-
-        // EOF mid-line is EOF, not a frame.
-        let mut reader = Cursor::new(b"unterminated".to_vec());
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Eof
-        ));
-
-        // Invalid UTF-8 is its own outcome (answered as `malformed`, not
-        // `oversized`), and the stream stays synchronized past it.
-        let mut reader = Cursor::new(b"bad \xff byte\nnext\n".to_vec());
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::InvalidUtf8
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Line(line) if line == "next"
-        ));
-    }
+    use std::io::BufRead;
 
     #[test]
     fn admission_counts_sheds_and_releases() {

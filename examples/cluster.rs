@@ -16,9 +16,11 @@
 //!    multiset-bit-identical to direct in-process `EvalService` dispatch
 //!    of the same specs.
 //! 2. **Failover** — the sweep is replayed pipelined and one backend is
-//!    killed with most of it outstanding: zero accepted requests are
-//!    lost, the answers stay bit-identical, and the re-routing is
-//!    observable (nonzero failovers, nonzero backend transport faults).
+//!    killed while its shards are in flight (a slow fault holds its
+//!    answers at the router): zero accepted requests are lost, the
+//!    answers stay bit-identical, and once the dead backend's outstanding
+//!    exchanges resolve, the re-routing is observable (nonzero failovers)
+//!    and nothing was shed.
 //! 3. **Warm readmission** — the killed backend restarts on a new
 //!    ephemeral port and rejoins through half-open probing *warm*: the
 //!    prober hands its shards back from the surviving replicas before
@@ -36,7 +38,10 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crosslight::cluster::{CircuitState, HedgePolicy, RetryPolicy, Router, RouterOptions};
+use crosslight::cluster::{
+    CircuitState, FaultAction, FaultPlan, FaultPoint, FaultRule, HedgePolicy, RetryPolicy, Router,
+    RouterOptions,
+};
 use crosslight::experiments::arch_zoo;
 use crosslight::neural::workload::NetworkWorkload;
 use crosslight::neural::zoo::PaperModel;
@@ -229,7 +234,16 @@ fn main() {
         .with_request_deadline(Duration::from_secs(30))
         // Speculative second attempts on the other replica once a forward
         // outlives the observed p99 — accounting shows up in the scrape.
-        .with_hedge(HedgePolicy::enabled());
+        .with_hedge(HedgePolicy::enabled())
+        // Backend 1 answers slowly (each of its response lines is held
+        // 5 ms at the router), so when phase 2 kills it, its shards are
+        // still in flight or queued however fast the pipelined healthy
+        // backends serve the rest.
+        .with_faults(FaultPlan::new(vec![FaultRule::always(
+            FaultPoint::BackendRecv,
+            Some(1),
+            FaultAction::Slow(5),
+        )]));
     let router = Router::bind("127.0.0.1:0", &addrs, options).expect("bind router");
     println!("router  : {}", router.local_addr());
     for (index, addr) in addrs.iter().enumerate() {
@@ -264,6 +278,24 @@ fn main() {
         served, reference,
         "a mid-sweep backend kill must not change any answer"
     );
+    // With hedging on, the client can hold every answer (hedges win)
+    // while the router is still resolving the dead backend's outstanding
+    // exchanges.  Let those settle before judging the failover: resolving
+    // them must re-route work, and none may be shed.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+        let outstanding = family_total(&scrape, "cluster_backend_inflight")
+            + family_total(&scrape, "cluster_queue_depth");
+        if outstanding == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{outstanding} exchanges still outstanding after the kill"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let stats = router.stats();
     assert_eq!(
         stats.shed_total, before.shed_total,

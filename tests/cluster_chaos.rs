@@ -9,9 +9,10 @@
 //! comparison (sorted canonical lines) absorbs the reordering failover
 //! legitimately introduces.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use crosslight::cluster::{
@@ -175,6 +176,46 @@ fn backend_scrape(addr: SocketAddr) -> WireMetricsSnapshot {
     }
 }
 
+/// Request lines for `specs` with ids `0..specs.len()`.
+fn request_lines(specs: &[EvalSpec]) -> Vec<String> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(id, spec)| {
+            wire::encode_request(&Request {
+                id: id as u64,
+                body: RequestBody::Eval(spec.clone()),
+            })
+        })
+        .collect()
+}
+
+/// Pipelines raw request lines over one fresh connection and returns the
+/// raw response lines, sorted.
+fn raw_exchange(addr: SocketAddr, lines: &[String]) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("bound reads");
+    let payload: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    (&stream)
+        .write_all(payload.as_bytes())
+        .expect("pipelined write");
+    let mut reader = BufReader::new(&stream);
+    let mut answers: Vec<String> = lines
+        .iter()
+        .map(|_| {
+            let mut answer = String::new();
+            reader
+                .read_line(&mut answer)
+                .expect("every request answered");
+            answer
+        })
+        .collect();
+    answers.sort_unstable();
+    answers
+}
+
 fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
     let start = Instant::now();
     while !done() {
@@ -232,11 +273,21 @@ fn killing_a_backend_mid_sweep_loses_zero_accepted_requests() {
         .map(|backend| backend.as_ref().unwrap().local_addr())
         .collect();
     // A long cooldown keeps the killed backend from rejoining mid-test.
-    let options = chaos_options().with_health(
-        Duration::from_millis(20),
-        Duration::from_millis(250),
-        Duration::from_secs(600),
-    );
+    // The victim answers slowly (every response line it sends is held
+    // 20 ms at the router), so its shards are still in flight or queued
+    // when it dies, however fast the healthy backends pipeline the rest.
+    let slow_victim = FaultPlan::new(vec![FaultRule::always(
+        FaultPoint::BackendRecv,
+        Some(1),
+        FaultAction::Slow(20),
+    )]);
+    let options = chaos_options()
+        .with_health(
+            Duration::from_millis(20),
+            Duration::from_millis(250),
+            Duration::from_secs(600),
+        )
+        .with_faults(slow_victim);
     let router = Router::bind("127.0.0.1:0", &addrs, options).expect("bind router");
 
     let specs = mixed_sweep(120);
@@ -255,8 +306,8 @@ fn killing_a_backend_mid_sweep_loses_zero_accepted_requests() {
     }
     client.flush().expect("pipelined flush");
 
-    // Take a few answers to prove the sweep is in flight, then kill a
-    // backend with ~110 requests outstanding across the cluster.
+    // Take a few answers to prove the sweep is in flight, then kill the
+    // slow backend while its shards are outstanding.
     let mut served: Vec<String> = (0..8).map(|_| recv_eval(&mut client)).collect();
     backends[1].take().unwrap().shutdown();
     served.extend((8..specs.len()).map(|_| recv_eval(&mut client)));
@@ -739,6 +790,198 @@ fn mid_frame_client_disconnects_leave_the_router_clean() {
         sorted(cluster_lines(&mut client, &specs)),
         sorted(reference_lines(&specs))
     );
+
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// Runs a backend stand-in on `scope` until `stop` is set, and returns
+/// its address.  It relays every line to a real server, but holds eval
+/// requests until `batch` of them have arrived on a connection and then
+/// answers them sorted by the bytes after their id — an order unrelated to
+/// the one they were sent in, so two requests carrying the same id come
+/// back in either order.  Pings pass straight through, so health probes
+/// keep the backend's breaker closed.
+fn reordering_backend<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    stop: &'scope AtomicBool,
+    server: SocketAddr,
+    batch: usize,
+) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind reordering backend");
+    listener.set_nonblocking(true).expect("nonblocking accept");
+    let addr = listener.local_addr().expect("reordering backend addr");
+    scope.spawn(move || {
+        while !stop.load(Ordering::SeqCst) {
+            let Ok((conn, _)) = listener.accept() else {
+                std::thread::sleep(Duration::from_millis(5));
+                continue;
+            };
+            conn.set_nonblocking(false).expect("blocking relay socket");
+            scope.spawn(move || relay_out_of_order(&conn, server, batch));
+        }
+    });
+    addr
+}
+
+fn relay_out_of_order(conn: &TcpStream, server: SocketAddr, batch: usize) {
+    let upstream = TcpStream::connect(server).expect("connect upstream");
+    let mut from_upstream = BufReader::new(&upstream);
+    let mut from_router = BufReader::new(conn);
+    let mut held: Vec<String> = Vec::new();
+    loop {
+        let mut line = String::new();
+        if from_router.read_line(&mut line).unwrap_or(0) == 0 {
+            return;
+        }
+        let ping = line.contains(r#""op":"ping""#);
+        held.push(line);
+        if !ping && held.len() < batch {
+            continue;
+        }
+        (&upstream)
+            .write_all(held.concat().as_bytes())
+            .expect("relay upstream");
+        let mut answers: Vec<String> = held
+            .drain(..)
+            .map(|_| {
+                let mut answer = String::new();
+                from_upstream
+                    .read_line(&mut answer)
+                    .expect("upstream answer");
+                answer
+            })
+            .collect();
+        answers.sort_by(|a, b| a.split_once(",\"ok\"").cmp(&b.split_once(",\"ok\"")));
+        let mut to_router = conn;
+        if to_router.write_all(answers.concat().as_bytes()).is_err() {
+            return;
+        }
+    }
+}
+
+#[test]
+fn colliding_client_ids_get_their_own_byte_identical_answers() {
+    // Two clients pipeline the *same* ids with different specs through one
+    // router at the same time.  Both streams share the router's single
+    // connection to its one backend, which answers them out of order, so
+    // only the per-exchange id rewrite keeps their answers apart.
+    const PER_CLIENT: usize = 6;
+    let server = bind_backend();
+    let direct = bind_backend();
+    let specs = mixed_sweep(2 * PER_CLIENT);
+    let (left, right) = specs.split_at(PER_CLIENT);
+    let (left, right) = (request_lines(left), request_lines(right));
+    // Warm both servers the same way, so `cache_hit` and the
+    // fingerprint-sharded `worker` agree and whole lines can be compared.
+    let everything = request_lines(&specs);
+    raw_exchange(server.local_addr(), &everything);
+    raw_exchange(direct.local_addr(), &everything);
+    let expected = [
+        raw_exchange(direct.local_addr(), &left),
+        raw_exchange(direct.local_addr(), &right),
+    ];
+
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let (routed, stats) = std::thread::scope(|scope| {
+        let backend = reordering_backend(scope, &stop, server.local_addr(), 2 * PER_CLIENT);
+        let router = Router::bind("127.0.0.1:0", &[backend], chaos_options()).expect("bind router");
+        let clients: Vec<_> = [&left, &right]
+            .into_iter()
+            .map(|lines| {
+                let start = &start;
+                let router = router.local_addr();
+                scope.spawn(move || {
+                    start.wait();
+                    raw_exchange(router, lines)
+                })
+            })
+            .collect();
+        let routed: Vec<_> = clients.into_iter().map(|client| client.join()).collect();
+        let stats = router.stats();
+        // Stop the stand-in before judging, so a failure cannot leave the
+        // scope waiting on it.
+        router.shutdown();
+        stop.store(true, Ordering::SeqCst);
+        (routed, stats)
+    });
+    for (routed, expected) in routed.into_iter().zip(&expected) {
+        let routed = routed.expect("client thread");
+        assert_eq!(&routed, expected, "a client got foreign or altered bytes");
+    }
+    assert_eq!(stats.evals_ok, 2 * PER_CLIENT as u64);
+    assert_eq!(stats.shed_total, 0);
+    server.shutdown();
+    direct.shutdown();
+}
+
+#[test]
+fn one_killed_pipelined_connection_charges_exactly_one_fault() {
+    // The first response line on the backend's connection is held at the
+    // router for half a second, so every request is written — in flight
+    // on one socket — before anything resolves; the second response line
+    // then kills the connection.
+    const IN_FLIGHT: usize = 8;
+    let faults = FaultPlan::new(vec![
+        FaultRule::once(FaultPoint::BackendRecv, Some(0), 0, FaultAction::Slow(500)),
+        FaultRule::once(FaultPoint::BackendRecv, Some(0), 1, FaultAction::Kill),
+    ]);
+    let backend = bind_backend();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[backend.local_addr()],
+        chaos_options().with_faults(Arc::clone(&faults)),
+    )
+    .expect("bind router");
+    let scrape = || WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let before = router.stats();
+    let failures_before = family_total(&scrape(), "cluster_backend_failures_total");
+
+    let specs = mixed_sweep(IN_FLIGHT);
+    let mut client = Client::connect_with(
+        router.local_addr(),
+        ClientOptions::with_deadline(Duration::from_secs(60)),
+    )
+    .expect("connect to router");
+    for (id, spec) in specs.iter().enumerate() {
+        client
+            .send(&Request {
+                id: id as u64,
+                body: RequestBody::Eval(spec.clone()),
+            })
+            .expect("pipelined send");
+    }
+    client.flush().expect("pipelined flush");
+    wait_for(
+        "every exchange in flight on the one connection",
+        Duration::from_secs(10),
+        || family_total(&scrape(), "cluster_backend_inflight") == IN_FLIGHT as u64,
+    );
+    let served: Vec<String> = (0..IN_FLIGHT).map(|_| recv_eval(&mut client)).collect();
+
+    // Every answer exactly once and bit-identical (a duplicate or a loss
+    // breaks the multiset equality), nothing shed, and the one fault
+    // charged once: one breaker failure, one retry.
+    assert_eq!(sorted(served), sorted(reference_lines(&specs)));
+    let stats = router.stats();
+    assert_eq!(
+        faults.injected(),
+        2,
+        "the slow line and the kill both fired"
+    );
+    assert_eq!(stats.evals_ok - before.evals_ok, IN_FLIGHT as u64);
+    assert_eq!(stats.shed_total, before.shed_total);
+    assert_eq!(stats.retries - before.retries, 1, "{stats:?}");
+    assert_eq!(
+        family_total(&scrape(), "cluster_backend_failures_total") - failures_before,
+        1
+    );
+    assert!(
+        stats.failovers - before.failovers >= IN_FLIGHT as u64 - 1,
+        "the kill re-dispatches every exchange it took down: {stats:?}"
+    );
+    assert_eq!(family_total(&scrape(), "cluster_backend_inflight"), 0);
 
     router.shutdown();
     backend.shutdown();
